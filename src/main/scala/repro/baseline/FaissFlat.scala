@@ -15,32 +15,29 @@ import repro.spark.Built
 final class FaissFlat private (
     val store: RDD[FaissFlat.Slab],
     val numPartitions: Int,
+    val n: Int,
 ) extends Built {
 
   override def name: String = "FAISS"
 
-  override def search(query: Array[Float], k: Int): Array[(Long, Double)] =
-    searchBatch(Seq(query), k)(0)
-
-  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] = {
-    val (results, _) = searchAllTimed(queries, k)
-    results
+  private def answers(queries: Seq[Array[Float]], k: Int): Array[Array[Built.Answer]] = {
+    Built.validate(queries, k, n)
+    Built.perPartition(store, queries.map(Series.znorm).toArray) {
+      (slab, qz) => FaissFlat.searchSlab(slab, qz, k)
+    }
   }
 
+  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] =
+    Built.mergeEach(answers(queries, k), k)
+
+  /** Batched processing: per-query cost is the slowest partition's batch
+    * time amortized over the batch.
+    */
   override def searchAllTimed(queries: Seq[Array[Float]], k: Int)
       : (Array[Array[(Long, Double)]], Array[Double]) = {
-    val prepared = queries.map(Series.znorm).toArray
-    val nq = prepared.length
-    val perPart = store.map { slab =>
-      val t0 = System.nanoTime()
-      val res = prepared.map(qz => FaissFlat.searchSlab(slab, qz, k))
-      val totalMs = (System.nanoTime() - t0) / 1e6
-      (res, totalMs)
-    }.collect()
-    val results = (0 until nq).map(qi => Built.mergeTopK(perPart.toIndexedSeq.map(_._1(qi)), k)).toArray
-    // batched processing: per-query cost is the batch cost amortized over nq
-    val perQueryMs = perPart.map(_._2).max / math.max(1, nq)
-    (results, Array.fill(nq)(perQueryMs))
+    val a = answers(queries, k)
+    val batchMs = a.transpose.map(_.map(_._2).sum).maxOption.getOrElse(0.0)
+    (Built.mergeEach(a, k), Array.fill(a.length)(batchMs / a.length))
   }
 
   override def close(): Unit = { store.unpersist(blocking = false); () }
@@ -106,7 +103,8 @@ object FaissFlat {
         }
       }
       .persist(StorageLevel.MEMORY_ONLY)
-    store.count()
-    new FaissFlat(store, partitions)
+    // materializes the store and records the series length for `validate`
+    val n = store.map(_.dim).fold(0)(math.max)
+    new FaissFlat(store, partitions, n)
   }
 }

@@ -15,29 +15,28 @@ import repro.spark.Built
 final class UcrScan private (
     val store: RDD[(Array[Long], Array[Array[Float]])],
     val numPartitions: Int,
+    val n: Int,
 ) extends Built {
 
   override def name: String = "UCR-P"
 
-  override def search(query: Array[Float], k: Int): Array[(Long, Double)] = {
-    val qz = Series.znorm(query)
-    val parts = store.map { case (ids, zs) => UcrScan.scanPartition(ids, zs, qz, k) }.collect()
-    Built.mergeTopK(parts.toSeq, k)
+  private def answers(queries: Seq[Array[Float]], k: Int): Array[Array[Built.Answer]] = {
+    Built.validate(queries, k, n)
+    Built.perPartition(store, queries.map(Series.znorm).toArray) {
+      case ((ids, zs), qz) => UcrScan.scanPartition(ids, zs, qz, k)
+    }
   }
 
+  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] =
+    Built.mergeEach(answers(queries, k), k)
+
+  /** Per-query time is the slowest partition: UCR-P threads own static slices
+    * and synchronize only at the end.
+    */
   override def searchAllTimed(queries: Seq[Array[Float]], k: Int)
       : (Array[Array[(Long, Double)]], Array[Double]) = {
-    val prepared = queries.map(Series.znorm).toArray
-    val perPart = store.map { case (ids, zs) =>
-      prepared.map { qz =>
-        val t0 = System.nanoTime()
-        val r = UcrScan.scanPartition(ids, zs, qz, k)
-        (r, (System.nanoTime() - t0) / 1e6)
-      }
-    }.collect()
-    val results = queries.indices.map(qi => Built.mergeTopK(perPart.toIndexedSeq.map(_(qi)._1), k)).toArray
-    val times = queries.indices.map(qi => perPart.map(_(qi)._2).max).toArray
-    (results, times)
+    val a = answers(queries, k)
+    (Built.mergeEach(a, k), a.map(_.map(_._2).max))
   }
 
   override def close(): Unit = { store.unpersist(blocking = false); () }
@@ -79,7 +78,8 @@ object UcrScan {
         Iterator.single((buf.map(_._1), buf.map(_._2)))
       }
       .persist(StorageLevel.MEMORY_ONLY)
-    store.count()
-    new UcrScan(store, partitions)
+    // materializes the store and records the series length for `validate`
+    val n = store.map { case (_, zs) => zs.headOption.fold(0)(_.length) }.fold(0)(math.max)
+    new UcrScan(store, partitions, n)
   }
 }

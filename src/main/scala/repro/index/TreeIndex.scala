@@ -158,31 +158,29 @@ final class TreeIndex private (
     searchProjected(qz, space.project(qz), k)
   }
 
-  /** Descend to the query's own leaf and return exact distances to its
-    * entries. */
+  /** The query's own leaf: its root child (or, if the query's root key is
+    * absent, the root child with the smallest node-level LBD), descended by
+    * the query's word bits. `None` only for an empty index.
+    */
   private def approxLeaf(qp: Array[Double]): Option[Leaf] = {
     val qWord = space.quantize(qp)
-    val qKey = topBitKey(qWord)
-    val seedRoot: Option[Node] = root.get(qKey).orElse {
-      if (root.isEmpty) None
-      else Some(root.values.minBy(n => space.nodeLbSq(qp, n.prefix, n.bits)))
+    @annotation.tailrec
+    def descend(node: Node): Leaf = node match {
+      case inner: Inner =>
+        descend(if (bitAt(qWord(inner.splitDim), inner.bits(inner.splitDim)) == 0) inner.left
+                else inner.right)
+      case leaf: Leaf => leaf
     }
-    seedRoot.map { start =>
-      var node = start
-      while (true) node match {
-        case inner: Inner =>
-          node = if (bitAt(qWord(inner.splitDim), inner.bits(inner.splitDim)) == 0) inner.left
-                 else inner.right
-        case leaf: Leaf => return Some(leaf)
-      }
-      throw new IllegalStateException("unreachable")
-    }
+    root.get(topBitKey(qWord))
+      .orElse(root.values.minByOption(n => space.nodeLbSq(qp, n.prefix, n.bits)))
+      .map(descend)
   }
 
-  /** Approximate search (paper IV-C first phase, run *once* before the
-    * parallel exact phase in MESSI): exact distances to the entries of the
-    * query's own leaf, top-k. The distributed layer merges these across
-    * partitions into the shared initial BSF.
+  /** Approximate search (paper IV-C first phase, which MESSI runs *once*
+    * to seed a BSF shared by the parallel exact phase): exact distances to
+    * the entries of the query's own leaf, top-k. `searchProjected` runs the
+    * same phase itself; this standalone form lets a caller merge approximate
+    * answers across trees into a shared BSF.
     */
   def approxSearch(qz: Array[Float], qp: Array[Double], k: Int): Array[(Long, Double)] = {
     if (data.isEmpty || k <= 0) return Array.empty
@@ -199,10 +197,11 @@ final class TreeIndex private (
   /** Search with the query already z-normalized and projected — the form used
     * by the distributed layer, which projects once on the driver.
     *
-    * `initialBsfSq` is an externally supplied upper bound on the global k-th
-    * NN distance (MESSI's shared BSF from the approximate phase): any series
-    * with a bound/distance at or above it cannot enter the global top-k, so
-    * the local heap may legitimately return fewer than k results.
+    * `initialBsfSq` is an optional, externally supplied upper bound on the
+    * global k-th NN distance (MESSI's shared BSF from the approximate phase):
+    * any series with a bound/distance at or above it cannot enter the global
+    * top-k, so the local heap may legitimately return fewer than k results.
+    * The distributed layer passes none: each tree seeds its own BSF.
     */
   def searchProjected(qz: Array[Float], qp: Array[Double], k: Int,
                       initialBsfSq: Double = Double.PositiveInfinity): Array[(Long, Double)] = {
@@ -216,9 +215,7 @@ final class TreeIndex private (
       if (heap.size < k) heap.add((dSq, idx))
       else if (dSq < heap.peek()._1) { heap.poll(); heap.add((dSq, idx)) }
     }
-    var seededLeaf: Leaf = null // phase-1 leaf; must not be scanned twice
-    def scanLeaf(leaf: Leaf): Unit = {
-      if (leaf eq seededLeaf) return
+    def scanLeaf(leaf: Leaf): Unit =
       leaf.entries.foreach { e =>
         val bsf = bsfSq
         val lb = space.wordLbSq(qp, words(e), bsf)
@@ -227,43 +224,25 @@ final class TreeIndex private (
           if (dSq < bsf) offer(e, dSq)
         }
       }
-    }
 
-    // Phase 1 — approximate search: descend towards the query's own word to
-    // seed the BSF with real distances from one leaf (paper IV-C).
-    val qWord = space.quantize(qp)
-    val qKey = topBitKey(qWord)
-    val seedRoot: Option[Node] = root.get(qKey).orElse {
-      if (root.isEmpty) None
-      else Some(root.values.minBy(n => space.nodeLbSq(qp, n.prefix, n.bits)))
-    }
-    seedRoot.foreach { start =>
-      var node = start
-      var done = false
-      while (!done) node match {
-        case inner: Inner =>
-          node = if (bitAt(qWord(inner.splitDim), inner.bits(inner.splitDim)) == 0) inner.left
-                 else inner.right
-        case leaf: Leaf => scanLeaf(leaf); seededLeaf = leaf; done = true
-      }
-    }
+    // Phase 1 — approximate search: seed the BSF with real distances from the
+    // query's own leaf (paper IV-C). That leaf is not scanned again below.
+    val seededLeaf = approxLeaf(qp).orNull
+    if (seededLeaf ne null) scanLeaf(seededLeaf)
 
     // Phase 2 — exact search: best-first traversal by node-level LBD.
     val pq = new java.util.PriorityQueue[(Double, Node)](math.max(1, root.size), (a: (Double, Node), b: (Double, Node)) => java.lang.Double.compare(a._1, b._1))
-    root.values.foreach { n =>
+    def push(n: Node): Unit = {
       val lb = space.nodeLbSq(qp, n.prefix, n.bits)
       if (lb < bsfSq) pq.add((lb, n))
     }
+    root.values.foreach(push)
     while (!pq.isEmpty) {
       val (lb, node) = pq.poll()
       if (lb >= bsfSq) pq.clear() // everything else has a larger LBD: done
       else node match {
-        case inner: Inner =>
-          Seq(inner.left, inner.right).foreach { c =>
-            val clb = space.nodeLbSq(qp, c.prefix, c.bits)
-            if (clb < bsfSq) pq.add((clb, c))
-          }
-        case leaf: Leaf => scanLeaf(leaf)
+        case inner: Inner => push(inner.left); push(inner.right)
+        case leaf: Leaf => if (leaf ne seededLeaf) scanLeaf(leaf)
       }
     }
 

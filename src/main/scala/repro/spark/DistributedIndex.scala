@@ -8,10 +8,16 @@ import repro.index.TreeIndex
 
 /** The Spark layering of the MESSI/SOFA tree index: one `TreeIndex` per
   * partition, built inside `mapPartitions` and persisted deserialized in
-  * executor memory. A query is one Spark job; each partition (the analog of a
-  * MESSI index worker set) searches its tree with its own best-so-far, and the
-  * driver merges the per-partition top-k. Exactness is unaffected by the
-  * partitioning: every partition returns its true local top-k.
+  * executor memory (the analog of a MESSI index worker set).
+  *
+  * A batch of queries is one Spark job. The driver z-normalizes and projects
+  * every query once; each partition then answers the queries one after
+  * another with `TreeIndex.searchProjected`, which seeds its own best-so-far
+  * (BSF) from the query's leaf in that tree before the best-first exact
+  * traversal. Every partition thus returns its true local top-k, and the
+  * driver's merge of the local lists is the exact global top-k. Unlike MESSI,
+  * the BSF is not shared across workers: sharing it would cost a second
+  * Spark job per query (see DESIGN.md §4).
   */
 final class DistributedIndex private[spark] (
     val name: String,
@@ -20,62 +26,23 @@ final class DistributedIndex private[spark] (
     val numPartitions: Int,
 ) extends Built {
 
-  /** The k-th best distance among approximate candidates, squared — MESSI's
-    * shared initial BSF.
-    */
-  private def bsfOf(cands: Seq[Array[(Long, Double)]], k: Int): Double = {
-    val top = Built.mergeTopK(cands, k)
-    if (top.length < k) Double.PositiveInfinity else top.last._2 * top.last._2
+  private def answers(queries: Seq[Array[Float]], k: Int): Array[Array[Built.Answer]] = {
+    Built.validate(queries, k, space.n)
+    val prepared = queries.map { q => val qz = Series.znorm(q); (qz, space.project(qz)) }.toArray
+    Built.perPartition(trees, prepared) { case (t, (qz, qp)) => t.searchProjected(qz, qp, k) }
   }
 
-  private def dedupTopK(parts: Seq[Array[(Long, Double)]], k: Int): Array[(Long, Double)] =
-    parts.flatten.distinctBy(_._1).sortBy { case (id, d) => (d, id) }.take(k).toArray
-
-  override def search(query: Array[Float], k: Int): Array[(Long, Double)] = {
-    val qz = Series.znorm(query)
-    val qp = space.project(qz)
-    // Phase A (paper IV-C): approximate answer -> shared BSF.
-    val approx = trees.map(_.approxSearch(qz, qp, k)).collect()
-    val bsf0 = bsfOf(approx.toIndexedSeq, k)
-    // Phase B: exact search in every partition under the shared BSF.
-    val parts = trees.map(_.searchProjected(qz, qp, k, bsf0)).collect()
-    dedupTopK(approx.toIndexedSeq ++ parts, k)
-  }
+  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] =
+    Built.mergeEach(answers(queries, k), k)
 
   override def searchAllTimed(queries: Seq[Array[Float]], k: Int)
       : (Array[Array[(Long, Double)]], Array[Double]) = {
-    val prepared = queries.map { q => val qz = Series.znorm(q); (qz, space.project(qz)) }.toArray
-    // Phase A job: per-partition approximate candidates, timed.
-    val approxPart: Array[Array[(Array[(Long, Double)], Double)]] =
-      trees.map { t =>
-        prepared.map { case (qz, qp) =>
-          val t0 = System.nanoTime()
-          val r = t.approxSearch(qz, qp, k)
-          (r, (System.nanoTime() - t0) / 1e6)
-        }
-      }.collect()
-    val bsf0 = queries.indices.map(qi => bsfOf(approxPart.toIndexedSeq.map(_(qi)._1), k)).toArray
-    // Phase B job: exact search under the shared per-query BSF, timed.
-    val perPart: Array[Array[(Array[(Long, Double)], Double)]] =
-      trees.map { t =>
-        prepared.zipWithIndex.map { case ((qz, qp), qi) =>
-          val t0 = System.nanoTime()
-          val r = t.searchProjected(qz, qp, k, bsf0(qi))
-          (r, (System.nanoTime() - t0) / 1e6)
-        }
-      }.collect()
-    val results = queries.indices.map { qi =>
-      dedupTopK(approxPart.toIndexedSeq.map(_(qi)._1) ++ perPart.toIndexedSeq.map(_(qi)._1), k)
-    }.toArray
+    val a = answers(queries, k)
     // MESSI/SOFA workers cooperate on one query through shared priority
     // queues and a shared BSF, so load balances across workers; the faithful
     // per-query wall-time analog is total-work / workers (the per-partition
     // mean), not the straggler max (see DESIGN.md §4, parallelism model).
-    val times = queries.indices.map { qi =>
-      (approxPart.map(_(qi)._2).sum + perPart.map(_(qi)._2).sum) /
-        math.max(1, perPart.length)
-    }.toArray
-    (results, times)
+    (Built.mergeEach(a, k), a.map(parts => parts.map(_._2).sum / parts.length))
   }
 
   /** Aggregate Figure-8-style structure stats over all partition trees:

@@ -62,6 +62,9 @@ final class GeminiScan private (
     (approx ++ survivors).distinct.sortBy { case (id, d) => (d, id) }.take(k)
   }
 
+  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] =
+    queries.map(search(_, k)).toArray
+
   override def searchAllTimed(queries: Seq[Array[Float]], k: Int)
       : (Array[Array[(Long, Double)]], Array[Double]) = {
     val out = queries.map { q =>

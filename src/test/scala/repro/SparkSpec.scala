@@ -1,5 +1,8 @@
 package repro
 
+import scala.collection.concurrent.TrieMap
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -8,14 +11,36 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit).
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Number of Spark jobs `body` runs on this thread. Listener events arrive
+    * asynchronously, so a marker job is run and its end awaited before the
+    * ends of `body`'s jobs are counted.
+    */
+  def jobsRun(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val listener = new SparkSpec.GroupListener
+    val group = s"counted-${System.nanoTime()}"
+    val marker = s"$group-marker"
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted jobs")
+      try body finally sc.clearJobGroup()
+      sc.setJobGroup(marker, "listener drain")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val deadline = System.currentTimeMillis() + 60000L
+      while (listener.ended(marker) == 0) {
+        assert(System.currentTimeMillis() < deadline, "listener bus did not drain")
+        Thread.sleep(5)
+      }
+      listener.ended(group)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {
@@ -36,5 +61,16 @@ object SparkSpec {
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )
     s
+  }
+
+  /** Counts job ends per job group. */
+  final class GroupListener extends SparkListener {
+    private val groupOf = TrieMap.empty[Int, String]
+    private val endedJobs = TrieMap.empty[Int, Unit]
+    override def onJobStart(e: SparkListenerJobStart): Unit =
+      groupOf.put(e.jobId, Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull)
+    override def onJobEnd(e: SparkListenerJobEnd): Unit = endedJobs.put(e.jobId, ())
+    def ended(group: String): Int =
+      endedJobs.keys.count(j => groupOf.get(j).contains(group))
   }
 }

@@ -108,4 +108,58 @@ class BaselinesSpec extends SparkSpec {
       }
     } finally { ucr.close(); faiss.close() }
   }
+
+  test("UcrScan searchBatch equals brute force across partitions {1, 3, 8} and k {1, 3, 10}") {
+    val n = 64
+    val data = TestData.dataset(253, 400, n)
+    val ds = toDs(data)
+    val r = TestData.rng(254)
+    val q = TestData.mixedSeries(r, n)
+    // the same query twice, and a stored series (its own NN at distance 0)
+    val batch = Seq(q, data(17)._2, TestData.mixedSeries(r, n), q)
+    for (p <- Seq(1, 3, 8)) {
+      val e = UcrScan.build(ds, p)
+      try {
+        for (k <- Seq(1, 3, 10)) {
+          val got = e.searchBatch(batch, k)
+          assert(got.length == batch.length)
+          batch.zip(got).foreach { case (bq, g) =>
+            TestData.assertSameKnn(g, TestData.bruteKnn(data.toIndexedSeq, bq, k))
+          }
+          assert(got(1).head._1 == 17L && got(1).head._2 < 1e-3)
+          assert(got(0).sameElements(got(3)))
+        }
+      } finally e.close()
+    }
+  }
+
+  test("search and searchBatch each run exactly one Spark job — UCR-P and FAISS") {
+    val n = 64
+    val ds = toDs(TestData.dataset(255, 300, n))
+    val engines = Seq(UcrScan.build(ds, 3), FaissFlat.build(ds, 3))
+    try {
+      val r = TestData.rng(256)
+      val batch = Seq.fill(5)(TestData.mixedSeries(r, n))
+      engines.foreach { e =>
+        assert(jobsRun(e.search(batch.head, 3)) == 1, e.name)
+        assert(jobsRun(e.searchBatch(batch, 3)) == 1, e.name)
+        assert(jobsRun(assert(e.searchBatch(Seq.empty, 3).isEmpty)) == 0, e.name)
+      }
+    } finally engines.foreach(_.close())
+  }
+
+  test("bad input is rejected on the driver before any job runs — UCR-P and FAISS") {
+    val n = 64
+    val ds = toDs(TestData.dataset(257, 100, n))
+    val engines = Seq(UcrScan.build(ds, 2), FaissFlat.build(ds, 2))
+    try {
+      val q = TestData.mixedSeries(TestData.rng(258), n)
+      engines.foreach { e =>
+        assert(jobsRun(intercept[IllegalArgumentException](e.searchBatch(Seq(q, q.take(n - 1)), 1))) == 0, e.name)
+        val err = intercept[IllegalArgumentException](e.searchBatch(Seq(q, q.take(n - 1)), 1))
+        assert(err.getMessage.contains(s"query 1 has length ${n - 1}") && err.getMessage.contains(s"length $n"))
+        assert(jobsRun(intercept[IllegalArgumentException](e.search(q, 0))) == 0, e.name)
+      }
+    } finally engines.foreach(_.close())
+  }
 }

@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.{SparkSpec, TestData}
-import repro.core.{Isax, SeriesRecord}
+import repro.core.{Isax, Series, SeriesRecord, Sfa}
 
 class DistributedIndexSpec extends SparkSpec {
 
@@ -78,6 +78,61 @@ class DistributedIndexSpec extends SparkSpec {
       val (leaves, depth, fill) = idx.structureStats
       assert(leaves > 0 && depth >= 1 && fill > 0)
       assert(math.abs(fill * leaves - 400) < 1e-6)
+    } finally idx.close()
+  }
+
+  test("searchBatch equals brute force — MESSI and SOFA spaces, partitions {1, 3, 8}, k {1, 3, 10}") {
+    val n = 64
+    val data = TestData.dataset(210, 400, n)
+    val ds = toDs(data)
+    val sfa = Sfa.fit(data.take(150).map(d => Series.znorm(d._2)), n, l = 8, alpha = 256).space
+    val r = TestData.rng(211)
+    val q = TestData.mixedSeries(r, n)
+    // the same query twice, and a stored series (its own NN at distance 0)
+    val batch = Seq(q, data(17)._2, TestData.mixedSeries(r, n), q)
+    for (space <- Seq(Isax.space(n, 8, 256), sfa); p <- Seq(1, 3, 8)) {
+      val idx = DistributedIndex.build(space.name, ds, space, 32, p)
+      try {
+        for (k <- Seq(1, 3, 10)) {
+          val got = idx.searchBatch(batch, k)
+          assert(got.length == batch.length)
+          batch.zip(got).foreach { case (bq, g) =>
+            TestData.assertSameKnn(g, TestData.bruteKnn(data.toIndexedSeq, bq, k))
+          }
+          assert(got(1).head._1 == 17L && got(1).head._2 < 1e-3)
+          assert(got(0).sameElements(got(3)))
+        }
+      } finally idx.close()
+    }
+  }
+
+  test("search and searchBatch each run exactly one Spark job — SOFA and MESSI") {
+    val n = 64
+    val data = TestData.dataset(212, 300, n)
+    val ds = toDs(data)
+    val cfg = IndexConfig(leafCapacity = 32, partitions = 3, sampleRate = 0.5)
+    val engines = Seq(EngineFactory.sofa(ds, n, cfg), EngineFactory.messi(ds, n, cfg))
+    try {
+      val r = TestData.rng(213)
+      val batch = Seq.fill(5)(TestData.mixedSeries(r, n))
+      engines.foreach { e =>
+        assert(jobsRun(e.search(batch.head, 3)) == 1, e.name)
+        assert(jobsRun(e.searchBatch(batch, 3)) == 1, e.name)
+        assert(jobsRun(assert(e.searchBatch(Seq.empty, 3).isEmpty)) == 0, e.name)
+      }
+    } finally engines.foreach(_.close())
+  }
+
+  test("bad input is rejected on the driver before any job runs") {
+    val n = 64
+    val data = TestData.dataset(214, 100, n)
+    val idx = DistributedIndex.build("MESSI", toDs(data), Isax.space(n, 8, 256), 32, 2)
+    try {
+      val q = TestData.mixedSeries(TestData.rng(215), n)
+      assert(jobsRun(intercept[IllegalArgumentException](idx.searchBatch(Seq(q, q.take(n - 1)), 1))) == 0)
+      val err = intercept[IllegalArgumentException](idx.searchBatch(Seq(q, q.take(n - 1)), 1))
+      assert(err.getMessage.contains(s"query 1 has length ${n - 1}") && err.getMessage.contains(s"length $n"))
+      assert(jobsRun(intercept[IllegalArgumentException](idx.search(q, 0))) == 0)
     } finally idx.close()
   }
 }
