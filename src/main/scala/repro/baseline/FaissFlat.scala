@@ -3,7 +3,7 @@ package repro.baseline
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Dataset
 import org.apache.spark.storage.StorageLevel
-import repro.core.{Series, SeriesRecord}
+import repro.core.{Series, SeriesRecord, TopK}
 import repro.spark.Built
 
 /** FAISS IndexFlatL2 analog (paper's exact vector-search competitor): exact
@@ -14,30 +14,16 @@ import repro.spark.Built
   */
 final class FaissFlat private (
     val store: RDD[FaissFlat.Slab],
-    val numPartitions: Int,
     val n: Int,
 ) extends Built {
 
   override def name: String = "FAISS"
 
-  private def answers(queries: Seq[Array[Float]], k: Int): Array[Array[Built.Answer]] = {
+  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] = {
     Built.validate(queries, k, n)
-    Built.perPartition(store, queries.map(Series.znorm).toArray) {
+    Built.perPartition(store, queries.map(Series.znorm).toArray, k) {
       (slab, qz) => FaissFlat.searchSlab(slab, qz, k)
     }
-  }
-
-  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] =
-    Built.mergeEach(answers(queries, k), k)
-
-  /** Batched processing: per-query cost is the slowest partition's batch
-    * time amortized over the batch.
-    */
-  override def searchAllTimed(queries: Seq[Array[Float]], k: Int)
-      : (Array[Array[(Long, Double)]], Array[Double]) = {
-    val a = answers(queries, k)
-    val batchMs = a.transpose.map(_.map(_._2).sum).maxOption.getOrElse(0.0)
-    (Built.mergeEach(a, k), Array.fill(a.length)(batchMs / a.length))
   }
 
   override def close(): Unit = { store.unpersist(blocking = false); () }
@@ -58,8 +44,8 @@ object FaissFlat {
     var qNormSq = 0.0
     var j = 0
     while (j < dim) { val v = qz(j).toDouble; qNormSq += v * v; j += 1 }
-    val heap = new java.util.PriorityQueue[(Double, Long)](math.max(1, k),
-      (a: (Double, Long), b: (Double, Long)) => java.lang.Double.compare(b._1, a._1))
+    val top = new TopK(k)
+    var bsfSq = Double.PositiveInfinity
     var r = 0
     while (r < slab.rows) {
       val base = r * dim
@@ -67,14 +53,10 @@ object FaissFlat {
       j = 0
       while (j < dim) { dot += qz(j).toDouble * slab.flat(base + j); j += 1 }
       val dSq = math.max(0.0, qNormSq + slab.normsSq(r) - 2.0 * dot)
-      if (heap.size < k) heap.add((dSq, slab.ids(r)))
-      else if (dSq < heap.peek()._1) { heap.poll(); heap.add((dSq, slab.ids(r))) }
+      if (dSq <= bsfSq) { top.offer(dSq, slab.ids(r)); bsfSq = top.boundSq }
       r += 1
     }
-    val out = new Array[(Long, Double)](heap.size)
-    var i = heap.size - 1
-    while (i >= 0) { val (d, id) = heap.poll(); out(i) = (id, math.sqrt(d)); i -= 1 }
-    out
+    top.drain()
   }
 
   /** Materialize per-partition flat matrices of the z-normalized dataset. */
@@ -105,6 +87,6 @@ object FaissFlat {
       .persist(StorageLevel.MEMORY_ONLY)
     // materializes the store and records the series length for `validate`
     val n = store.map(_.dim).fold(0)(math.max)
-    new FaissFlat(store, partitions, n)
+    new FaissFlat(store, n)
   }
 }

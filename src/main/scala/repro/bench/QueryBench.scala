@@ -6,10 +6,12 @@ import repro.data.Benchmark17.DatasetSpec
 import repro.spark.{Built, EngineFactory, IndexConfig}
 
 /** Query-time benchmarks behind Tables II, III and IV. Per dataset the four
-  * engines are built over the same `Dataset[SeriesRecord]`; per-query times
-  * come from `Built.searchAllTimed` (see Engines.scala for the timing model).
-  * Every run cross-checks that all engines return the same nearest-neighbor
-  * distances — the benches double as end-to-end exactness tests.
+  * engines are built over the same `Dataset[SeriesRecord]`. Every engine is
+  * timed the same way: driver wall-clock around each `search(q, k)`, after
+  * one untimed pass over the whole query set so no engine is measured
+  * cold-JIT. Every run cross-checks that all engines return the same
+  * nearest-neighbor distances — the benches double as end-to-end exactness
+  * tests.
   */
 object QueryBench {
 
@@ -26,6 +28,19 @@ object QueryBench {
     if (t.isEmpty) 0.0 else t(t.size / 2)
   }
 
+  /** One untimed pass over the whole query set. */
+  private def warmUp(b: Built, queries: Array[Array[Float]], k: Int): Unit =
+    queries.foreach(b.search(_, k))
+
+  /** Each query's answer and the driver wall-clock ms of its `search` call. */
+  private def timed(b: Built, queries: Array[Array[Float]], k: Int)
+      : (Array[Array[(Long, Double)]], Array[Double]) =
+    queries.map { q =>
+      val t0 = System.nanoTime()
+      val r = b.search(q, k)
+      (r, (System.nanoTime() - t0) / 1e6)
+    }.unzip
+
   /** All four engines on one dataset at one parallelism level. */
   def runDataset(spark: SparkSession, spec: DatasetSpec, partitions: Int,
                  nQueries: Int, k: Int, cfg0: IndexConfig,
@@ -41,8 +56,8 @@ object QueryBench {
     }
     try {
       val runs = built.map { b =>
-        b.searchAllTimed(queries.take(2).toIndexedSeq, k) // JIT/cache warmup, untimed
-        val (results, times) = b.searchAllTimed(queries.toIndexedSeq, k)
+        warmUp(b, queries, k)
+        val (results, times) = timed(b, queries, k)
         val nn = results.map(r => if (r.isEmpty) Double.NaN else r.head._2)
         Run(b.name, spec.name, partitions, k, times, nn)
       }
@@ -99,12 +114,12 @@ object QueryBench {
         EngineFactory.sofa(ds, spec.len, cfg),
       )
       try {
-        built.foreach(_.searchAllTimed(queries.take(2).toIndexedSeq, 1)) // warmup
+        built.foreach(warmUp(_, queries, ks.head))
         for {
           k <- ks
           b <- built if k == 1 || b.name != "UCR-P"
         } yield {
-          val (results, times) = b.searchAllTimed(queries.toIndexedSeq, k)
+          val (results, times) = timed(b, queries, k)
           Run(b.name, spec.name, partitions, k, times,
               results.map(r => if (r.isEmpty) Double.NaN else r.last._2))
         }

@@ -1,6 +1,6 @@
 package repro.index
 
-import repro.core.{QuantizedWordSpace, Series}
+import repro.core.{QuantizedWordSpace, Series, TopK}
 
 import scala.collection.mutable
 
@@ -21,7 +21,8 @@ import scala.collection.mutable
   * descent seeds the best-so-far (BSF), then leaves are processed from a
   * priority queue ordered by node-level lower-bound distance; per-series
   * word-level LBDs (the SIMD kernel) and early-abandoning real distances prune
-  * the rest. All distances are squared internally.
+  * the rest. All distances are squared internally; results are ordered by
+  * (distance, id).
   *
   * One instance indexes one Spark partition's series; instances are built
   * single-threaded inside `mapPartitions` and are immutable after build.
@@ -179,8 +180,8 @@ final class TreeIndex private (
   /** Approximate search (paper IV-C first phase, which MESSI runs *once*
     * to seed a BSF shared by the parallel exact phase): exact distances to
     * the entries of the query's own leaf, top-k. `searchProjected` runs the
-    * same phase itself; this standalone form lets a caller merge approximate
-    * answers across trees into a shared BSF.
+    * same phase itself; this standalone form is kept for `nnbench`, whose
+    * replay merges approximate answers across trees into a shared BSF.
     */
   def approxSearch(qz: Array[Float], qp: Array[Double], k: Int): Array[(Long, Double)] = {
     if (data.isEmpty || k <= 0) return Array.empty
@@ -199,29 +200,25 @@ final class TreeIndex private (
     *
     * `initialBsfSq` is an optional, externally supplied upper bound on the
     * global k-th NN distance (MESSI's shared BSF from the approximate phase):
-    * any series with a bound/distance at or above it cannot enter the global
-    * top-k, so the local heap may legitimately return fewer than k results.
+    * any series with a bound or distance above it cannot enter the global
+    * top-k, so the local result may legitimately hold fewer than k entries.
     * The distributed layer passes none: each tree seeds its own BSF.
+    *
+    * A node, word or series is pruned only when its bound is strictly above
+    * the BSF, so a series tied with the k-th distance still reaches the
+    * top-k, which keeps the one with the smaller id.
     */
   def searchProjected(qz: Array[Float], qp: Array[Double], k: Int,
                       initialBsfSq: Double = Double.PositiveInfinity): Array[(Long, Double)] = {
     if (data.isEmpty || k <= 0) return Array.empty
-    // max-heap of the best k (distSq, idx) so-far; head = current worst kept
-    val heap = new java.util.PriorityQueue[(Double, Int)](k, (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(b._1, a._1))
-    def bsfSq: Double =
-      if (heap.size < k) initialBsfSq
-      else math.min(initialBsfSq, heap.peek()._1)
-    def offer(idx: Int, dSq: Double): Unit = {
-      if (heap.size < k) heap.add((dSq, idx))
-      else if (dSq < heap.peek()._1) { heap.poll(); heap.add((dSq, idx)) }
-    }
+    val top = new TopK(k)
+    def bsfSq: Double = math.min(initialBsfSq, top.boundSq)
     def scanLeaf(leaf: Leaf): Unit =
       leaf.entries.foreach { e =>
         val bsf = bsfSq
-        val lb = space.wordLbSq(qp, words(e), bsf)
-        if (lb < bsf) {
+        if (space.wordLbSq(qp, words(e), bsf) <= bsf) {
           val dSq = Series.edSqEarlyAbandon(qz, data(e), bsf)
-          if (dSq < bsf) offer(e, dSq)
+          if (dSq <= bsf) top.offer(dSq, ids(e))
         }
       }
 
@@ -234,22 +231,18 @@ final class TreeIndex private (
     val pq = new java.util.PriorityQueue[(Double, Node)](math.max(1, root.size), (a: (Double, Node), b: (Double, Node)) => java.lang.Double.compare(a._1, b._1))
     def push(n: Node): Unit = {
       val lb = space.nodeLbSq(qp, n.prefix, n.bits)
-      if (lb < bsfSq) pq.add((lb, n))
+      if (lb <= bsfSq) pq.add((lb, n))
     }
     root.values.foreach(push)
     while (!pq.isEmpty) {
       val (lb, node) = pq.poll()
-      if (lb >= bsfSq) pq.clear() // everything else has a larger LBD: done
+      if (lb > bsfSq) pq.clear() // everything else has a larger LBD: done
       else node match {
         case inner: Inner => push(inner.left); push(inner.right)
         case leaf: Leaf => if (leaf ne seededLeaf) scanLeaf(leaf)
       }
     }
-
-    val out = new Array[(Long, Double)](heap.size)
-    var i = heap.size - 1
-    while (i >= 0) { val (dSq, idx) = heap.poll(); out(i) = (ids(idx), math.sqrt(dSq)); i -= 1 }
-    out
+    top.drain()
   }
 
   // ------------------------------------------------------------- diagnostics

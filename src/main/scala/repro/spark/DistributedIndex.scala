@@ -10,39 +10,25 @@ import repro.index.TreeIndex
   * partition, built inside `mapPartitions` and persisted deserialized in
   * executor memory (the analog of a MESSI index worker set).
   *
-  * A batch of queries is one Spark job. The driver z-normalizes and projects
-  * every query once; each partition then answers the queries one after
-  * another with `TreeIndex.searchProjected`, which seeds its own best-so-far
-  * (BSF) from the query's leaf in that tree before the best-first exact
-  * traversal. Every partition thus returns its true local top-k, and the
-  * driver's merge of the local lists is the exact global top-k. Unlike MESSI,
-  * the BSF is not shared across workers: sharing it would cost a second
-  * Spark job per query (see DESIGN.md §4).
+  * A call of `search` or `searchBatch` is one Spark job. The driver
+  * z-normalizes and projects every query once; each partition then answers
+  * the queries one after another with `TreeIndex.searchProjected`, which
+  * seeds its own best-so-far (BSF) from the query's leaf in that tree before
+  * the best-first exact traversal. Every partition thus returns its true
+  * local top-k, and the driver's merge of the local lists is the exact
+  * global top-k. Unlike MESSI, the BSF is not shared across workers: sharing
+  * it would cost a second Spark job per query (see DESIGN.md §4).
   */
 final class DistributedIndex private[spark] (
     val name: String,
     val space: QuantizedWordSpace,
     val trees: RDD[TreeIndex],
-    val numPartitions: Int,
 ) extends Built {
 
-  private def answers(queries: Seq[Array[Float]], k: Int): Array[Array[Built.Answer]] = {
+  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] = {
     Built.validate(queries, k, space.n)
     val prepared = queries.map { q => val qz = Series.znorm(q); (qz, space.project(qz)) }.toArray
-    Built.perPartition(trees, prepared) { case (t, (qz, qp)) => t.searchProjected(qz, qp, k) }
-  }
-
-  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] =
-    Built.mergeEach(answers(queries, k), k)
-
-  override def searchAllTimed(queries: Seq[Array[Float]], k: Int)
-      : (Array[Array[(Long, Double)]], Array[Double]) = {
-    val a = answers(queries, k)
-    // MESSI/SOFA workers cooperate on one query through shared priority
-    // queues and a shared BSF, so load balances across workers; the faithful
-    // per-query wall-time analog is total-work / workers (the per-partition
-    // mean), not the straggler max (see DESIGN.md §4, parallelism model).
-    (Built.mergeEach(a, k), a.map(parts => parts.map(_._2).sum / parts.length))
+    Built.perPartition(trees, prepared, k) { case (t, (qz, qp)) => t.searchProjected(qz, qp, k) }
   }
 
   /** Aggregate Figure-8-style structure stats over all partition trees:
@@ -72,6 +58,6 @@ object DistributedIndex {
       .mapPartitions(it => Iterator.single(TreeIndex.build(space, leafCapacity, it)))
       .persist(StorageLevel.MEMORY_ONLY)
     trees.count() // materialize the trees before the first query
-    new DistributedIndex(name, space, trees, partitions)
+    new DistributedIndex(name, space, trees)
   }
 }

@@ -9,26 +9,16 @@ import repro.core.Sfa
   * Spark job in which every partition answers every query in turn, and the
   * driver merges the per-partition top-k of each query. `search` is a batch
   * of one, so it too is one Spark job (the paper's sequential-query protocol:
-  * all workers cooperate on one query at a time).
-  *
-  * `searchAllTimed` runs the same single job and reports a modelled
-  * per-query time from the in-task timings, which keeps local-mode scheduler
-  * overhead (~tens of ms per job) out of the paper tables. The model differs
-  * per engine (see DESIGN.md §4): the tree engines report the mean over
-  * partitions, UCR-P the maximum, and FAISS its batch time amortized over the
-  * batch.
+  * all workers cooperate on one query at a time). Answers are (id, distance)
+  * lists ordered by (distance, id).
   */
 trait Built {
   def name: String
-  def numPartitions: Int
 
   def search(query: Array[Float], k: Int): Array[(Long, Double)] =
     searchBatch(Seq(query), k)(0)
 
   def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]]
-
-  /** (results per query, modelled per-query milliseconds). */
-  def searchAllTimed(queries: Seq[Array[Float]], k: Int): (Array[Array[(Long, Double)]], Array[Double])
 
   def close(): Unit
 }
@@ -41,41 +31,28 @@ object Built {
     parts.flatten.sortBy { case (id, d) => (d, id) }.take(k).toArray
 
   /** Reject a bad batch on the driver, before any job runs: `k` must be
-    * positive and every query must have the indexed series length `n`.
+    * positive and every query must have the indexed series length `n` and
+    * only finite values.
     */
   def validate(queries: Seq[Array[Float]], k: Int, n: Int): Unit = {
     require(k > 0, s"k must be positive, got $k")
     queries.iterator.zipWithIndex.foreach { case (q, i) =>
       require(q.length == n, s"query $i has length ${q.length}, the index holds series of length $n")
+      require(q.forall(java.lang.Float.isFinite), s"query $i has a NaN or infinite value")
     }
   }
 
-  /** One partition's answer to one query: its local top-k and the
-    * milliseconds it took inside the task.
-    */
-  type Answer = (Array[(Long, Double)], Double)
-
-  /** Answer every prepared query in every partition in one Spark job. Returns,
-    * per query, each partition's `Answer`. An empty batch runs no job.
+  /** Answer every prepared query in every partition in one Spark job and
+    * return each query's merged global top-k. An empty batch runs no job.
     * `answer` must not capture the engine, only what the task needs.
     */
-  def perPartition[P, Q](parts: RDD[P], prepared: Array[Q])
-                        (answer: (P, Q) => Array[(Long, Double)]): Array[Array[Answer]] =
+  def perPartition[P, Q](parts: RDD[P], prepared: Array[Q], k: Int)
+                        (answer: (P, Q) => Array[(Long, Double)]): Array[Array[(Long, Double)]] =
     if (prepared.isEmpty) Array.empty
     else {
-      val byPart = parts.map { p =>
-        prepared.map { q =>
-          val t0 = System.nanoTime()
-          val r = answer(p, q)
-          (r, (System.nanoTime() - t0) / 1e6)
-        }
-      }.collect()
-      prepared.indices.map(qi => byPart.map(_(qi))).toArray
+      val byPart = parts.map(p => prepared.map(answer(p, _))).collect()
+      prepared.indices.map(qi => mergeTopK(byPart.toSeq.map(_(qi)), k)).toArray
     }
-
-  /** The global top-k of each query from its per-partition answers. */
-  def mergeEach(answers: Array[Array[Answer]], k: Int): Array[Array[(Long, Double)]] =
-    answers.map(parts => mergeTopK(parts.toSeq.map(_._1), k))
 }
 
 /** Shared configuration for the MESSI/SOFA tree engines (paper section V

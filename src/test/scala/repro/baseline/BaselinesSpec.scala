@@ -39,21 +39,6 @@ class BaselinesSpec extends SparkSpec {
     } finally e.close()
   }
 
-  test("UcrScan searchAllTimed matches per-query results") {
-    val n = 64
-    val data = TestData.dataset(244, 300, n)
-    val e = UcrScan.build(toDs(data), 3)
-    try {
-      val r = TestData.rng(245)
-      val queries = Array.fill(4)(TestData.mixedSeries(r, n))
-      val (results, times) = e.searchAllTimed(queries.toIndexedSeq, 2)
-      assert(times.forall(_ >= 0))
-      queries.zip(results).foreach { case (q, got) =>
-        TestData.assertSameKnn(got, TestData.bruteKnn(data.toIndexedSeq, q, 2))
-      }
-    } finally e.close()
-  }
-
   test("FaissFlat 1-NN equals brute force") {
     val n = 64
     val data = TestData.dataset(246, 500, n)
@@ -159,6 +144,12 @@ class BaselinesSpec extends SparkSpec {
         val err = intercept[IllegalArgumentException](e.searchBatch(Seq(q, q.take(n - 1)), 1))
         assert(err.getMessage.contains(s"query 1 has length ${n - 1}") && err.getMessage.contains(s"length $n"))
         assert(jobsRun(intercept[IllegalArgumentException](e.search(q, 0))) == 0, e.name)
+        for (bad <- Seq(Float.NaN, Float.PositiveInfinity)) {
+          val q1 = q.clone(); q1(5) = bad
+          assert(jobsRun(intercept[IllegalArgumentException](e.searchBatch(Seq(q, q1), 1))) == 0, e.name)
+          val err = intercept[IllegalArgumentException](e.searchBatch(Seq(q, q1), 1))
+          assert(err.getMessage.contains("query 1 has a NaN or infinite value"), e.name)
+        }
       }
     } finally engines.foreach(_.close())
   }

@@ -1,0 +1,20 @@
+package repro.bench
+
+import repro.SparkSpec
+import repro.data.Benchmark17
+import repro.spark.IndexConfig
+
+class QueryBenchSpec extends SparkSpec {
+
+  test("runDataset times every query of every engine by wall-clock and cross-checks the answers") {
+    val spec = Benchmark17.catalog.find(_.name == "LenDB").get.scaled(0.01)
+    // runDataset throws if the engines disagree on any query's nearest neighbor
+    val runs = QueryBench.runDataset(spark, spec, partitions = 2, nQueries = 3, k = 1,
+                                     IndexConfig(leafCapacity = 100))
+    assert(runs.map(_.engine) == Seq("UCR-P", "FAISS", "MESSI", "SOFA"))
+    runs.foreach { r =>
+      assert(r.timesMs.length == 3 && r.timesMs.forall(_ > 0), s"${r.engine}: ${r.timesMs.mkString(",")}")
+      assert(r.nnDists.length == 3 && r.nnDists.forall(d => d >= 0 && !d.isNaN), r.engine)
+    }
+  }
+}

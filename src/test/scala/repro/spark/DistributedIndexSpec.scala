@@ -40,22 +40,6 @@ class DistributedIndexSpec extends SparkSpec {
     } finally idx.close()
   }
 
-  test("searchAllTimed returns the same results as per-query search") {
-    val n = 64
-    val data = TestData.dataset(204, 400, n)
-    val ds = toDs(data)
-    val idx = DistributedIndex.build("MESSI", ds, Isax.space(n, 8, 256), 32, 3)
-    try {
-      val r = TestData.rng(205)
-      val queries = Array.fill(5)(TestData.mixedSeries(r, n))
-      val (results, times) = idx.searchAllTimed(queries.toIndexedSeq, 2)
-      assert(times.length == 5 && times.forall(_ >= 0))
-      queries.zip(results).foreach { case (q, got) =>
-        TestData.assertSameKnn(got, idx.search(q, 2))
-      }
-    } finally idx.close()
-  }
-
   test("every partition contributes: ids from all partitions are reachable") {
     val n = 64
     val data = TestData.dataset(206, 300, n)
@@ -133,6 +117,12 @@ class DistributedIndexSpec extends SparkSpec {
       val err = intercept[IllegalArgumentException](idx.searchBatch(Seq(q, q.take(n - 1)), 1))
       assert(err.getMessage.contains(s"query 1 has length ${n - 1}") && err.getMessage.contains(s"length $n"))
       assert(jobsRun(intercept[IllegalArgumentException](idx.search(q, 0))) == 0)
+      for (bad <- Seq(Float.NaN, Float.PositiveInfinity)) {
+        val q1 = q.clone(); q1(5) = bad
+        assert(jobsRun(intercept[IllegalArgumentException](idx.searchBatch(Seq(q, q1), 1))) == 0)
+        val err = intercept[IllegalArgumentException](idx.searchBatch(Seq(q, q1), 1))
+        assert(err.getMessage.contains("query 1 has a NaN or infinite value"))
+      }
     } finally idx.close()
   }
 }

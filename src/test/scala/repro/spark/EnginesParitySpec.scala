@@ -43,6 +43,33 @@ class EnginesParitySpec extends SparkSpec {
     } finally sofa.close()
   }
 
+  test("ties resolve by (distance, id) — constant series, all four engines, partitions {1, 3, 8}, k {1, 2, 4}") {
+    import spark.implicits._
+    val n = 64
+    val constIds = Set(3L, 11L, 20L, 33L, 57L)
+    // constant series z-normalize to all zeros, as does the constant query:
+    // five exact ties at distance 0, loaded in descending id order
+    val data = TestData.dataset(262, 80, n).map { case (id, v) =>
+      (id, if (constIds(id)) Array.fill(n)(id.toFloat) else v)
+    }.reverse
+    val ds = spark.createDataset(data.map { case (id, v) => SeriesRecord(id, v) }.toIndexedSeq)
+    val q = Array.fill(n)(5.0f)
+    for (p <- Seq(1, 3, 8)) {
+      val cfg = IndexConfig(leafCapacity = 16, partitions = p, sampleRate = 1.0)
+      val engines = Seq(EngineFactory.sofa(ds, n, cfg), EngineFactory.messi(ds, n, cfg),
+                        EngineFactory.ucr(ds, p), EngineFactory.faiss(ds, p))
+      try {
+        for (k <- Seq(1, 2, 4); e <- engines) {
+          val want = TestData.bruteKnn(data.toIndexedSeq, q, k)
+          val got = e.search(q, k)
+          assert(got.map(_._1).sameElements(want.map(_._1)),
+            s"${e.name} p=$p k=$k: ${got.mkString(",")} want ${want.mkString(",")}")
+          TestData.assertSameKnn(got, want)
+        }
+      } finally engines.foreach(_.close())
+    }
+  }
+
   test("engines handle the vector-data profile (short series, n=96)") {
     val spec = Benchmark17.catalog.find(_.name == "Deep1b").get.scaled(0.01)
     val (ds, queries) = Benchmark17.load(spark, spec, nQueries = 3)
