@@ -9,14 +9,15 @@ import repro.spark.{Built, EngineFactory, IndexConfig}
   * engines are built over the same `Dataset[SeriesRecord]`. Every engine is
   * timed the same way: driver wall-clock around each `search(q, k)`, after
   * one untimed pass over the whole query set so no engine is measured
-  * cold-JIT. Every run cross-checks that all engines return the same
-  * nearest-neighbor distances — the benches double as end-to-end exactness
-  * tests.
+  * cold-JIT. For every (dataset, k), all engines must return the same k-th
+  * nearest distance for every query — the benches double as end-to-end
+  * exactness tests.
   */
 object QueryBench {
 
+  /** One engine's timed pass; `kthDists(q)` is query q's k-th nearest distance. */
   final case class Run(engine: String, dataset: String, partitions: Int, k: Int,
-                       timesMs: Array[Double], nnDists: Array[Double])
+                       timesMs: Array[Double], kthDists: Array[Double])
 
   /** Mean/median over the pooled per-query times of a set of runs. */
   def mean(runs: Seq[Run]): Double = {
@@ -32,14 +33,31 @@ object QueryBench {
   private def warmUp(b: Built, queries: Array[Array[Float]], k: Int): Unit =
     queries.foreach(b.search(_, k))
 
-  /** Each query's answer and the driver wall-clock ms of its `search` call. */
-  private def timed(b: Built, queries: Array[Array[Float]], k: Int)
-      : (Array[Array[(Long, Double)]], Array[Double]) =
-    queries.map { q =>
+  /** A timed pass of `b` over `queries`: the driver wall-clock ms of each
+    * `search` call and the k-th distance of its answer.
+    */
+  private def timedRun(b: Built, spec: DatasetSpec, partitions: Int,
+                       queries: Array[Array[Float]], k: Int): Run = {
+    val (times, kth) = queries.map { q =>
       val t0 = System.nanoTime()
       val r = b.search(q, k)
-      (r, (System.nanoTime() - t0) / 1e6)
+      ((System.nanoTime() - t0) / 1e6, if (r.isEmpty) Double.NaN else r.last._2)
     }.unzip
+    Run(b.name, spec.name, partitions, k, times, kth)
+  }
+
+  /** Exactness cross-check of one (dataset, k): every run must report the
+    * first run's k-th nearest distance for every query.
+    */
+  private def crossCheck(runs: Seq[Run]): Unit = {
+    val ref = runs.head
+    runs.tail.foreach { r =>
+      ref.kthDists.zip(r.kthDists).zipWithIndex.foreach { case ((a, b), qi) =>
+        require(math.abs(a - b) <= 1e-4 * math.max(1.0, math.abs(a)),
+          s"engine disagreement on ${ref.dataset} k=${ref.k} q$qi: ${ref.engine}=$a vs ${r.engine}=$b")
+      }
+    }
+  }
 
   /** All four engines on one dataset at one parallelism level. */
   def runDataset(spark: SparkSession, spec: DatasetSpec, partitions: Int,
@@ -57,18 +75,9 @@ object QueryBench {
     try {
       val runs = built.map { b =>
         warmUp(b, queries, k)
-        val (results, times) = timed(b, queries, k)
-        val nn = results.map(r => if (r.isEmpty) Double.NaN else r.head._2)
-        Run(b.name, spec.name, partitions, k, times, nn)
+        timedRun(b, spec, partitions, queries, k)
       }
-      // exactness cross-check: every engine must agree on the k-th NN distances
-      val ref = runs.head
-      runs.tail.foreach { r =>
-        ref.nnDists.zip(r.nnDists).zipWithIndex.foreach { case ((a, b), qi) =>
-          require(math.abs(a - b) <= 1e-4 * math.max(1.0, math.abs(a)),
-            s"engine disagreement on ${spec.name} q$qi: ${ref.engine}=$a vs ${r.engine}=$b")
-        }
-      }
+      crossCheck(runs)
       runs
     } finally built.foreach(_.close())
   }
@@ -115,13 +124,11 @@ object QueryBench {
       )
       try {
         built.foreach(warmUp(_, queries, ks.head))
-        for {
-          k <- ks
-          b <- built if k == 1 || b.name != "UCR-P"
-        } yield {
-          val (results, times) = timed(b, queries, k)
-          Run(b.name, spec.name, partitions, k, times,
-              results.map(r => if (r.isEmpty) Double.NaN else r.last._2))
+        ks.flatMap { k =>
+          val runs = built.filter(b => k == 1 || b.name != "UCR-P")
+            .map(timedRun(_, spec, partitions, queries, k))
+          crossCheck(runs)
+          runs
         }
       } finally built.foreach(_.close())
     }

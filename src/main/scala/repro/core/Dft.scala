@@ -20,103 +20,28 @@ object Dft {
   /** Number of complex coefficients in the non-redundant half spectrum. */
   def halfSpectrumSize(n: Int): Int = n / 2 + 1
 
-  /** Full complex DFT of a real input, naive O(n^2) — the reference
-    * implementation used in tests. Returns interleaved [re0, im0, re1, im1, ...]
-    * of length 2n, scaled by 1/sqrt(n).
-    */
-  def naiveFull(x: Array[Double]): Array[Double] = {
-    val n = x.length
-    val out = new Array[Double](2 * n)
-    val scale = 1.0 / math.sqrt(n.toDouble)
-    var k = 0
-    while (k < n) {
-      var re = 0.0; var im = 0.0
-      var t = 0
-      while (t < n) {
-        val ang = -2.0 * math.Pi * k * t / n
-        re += x(t) * math.cos(ang)
-        im += x(t) * math.sin(ang)
-        t += 1
-      }
-      out(2 * k) = re * scale
-      out(2 * k + 1) = im * scale
-      k += 1
-    }
-    out
-  }
-
-  /** Iterative radix-2 Cooley-Tukey FFT (in place on re/im arrays), for
-    * power-of-two n. Scaled by 1/sqrt(n).
-    */
-  def fftPow2(x: Array[Double]): Array[Double] = {
-    val n = x.length
-    require(n > 0 && (n & (n - 1)) == 0, s"fftPow2 requires power-of-two length, got $n")
-    val re = new Array[Double](n)
-    val im = new Array[Double](n)
-    // bit-reversal permutation
-    var i = 0; var j = 0
-    while (i < n) {
-      re(j) = x(i)
-      var bit = n >> 1
-      while (bit != 0 && (j & bit) != 0) { j ^= bit; bit >>= 1 }
-      j ^= bit
-      i += 1
-    }
-    var len = 2
-    while (len <= n) {
-      val ang = -2.0 * math.Pi / len
-      val wRe = math.cos(ang); val wIm = math.sin(ang)
-      var base = 0
-      while (base < n) {
-        var curRe = 1.0; var curIm = 0.0
-        var k = 0
-        while (k < len / 2) {
-          val aRe = re(base + k); val aIm = im(base + k)
-          val bRe = re(base + k + len / 2) * curRe - im(base + k + len / 2) * curIm
-          val bIm = re(base + k + len / 2) * curIm + im(base + k + len / 2) * curRe
-          re(base + k) = aRe + bRe; im(base + k) = aIm + bIm
-          re(base + k + len / 2) = aRe - bRe; im(base + k + len / 2) = aIm - bIm
-          val nRe = curRe * wRe - curIm * wIm
-          curIm = curRe * wIm + curIm * wRe
-          curRe = nRe
-          k += 1
-        }
-        base += len
-      }
-      len <<= 1
-    }
-    val out = new Array[Double](2 * n)
-    val scale = 1.0 / math.sqrt(n.toDouble)
-    i = 0
-    while (i < n) { out(2 * i) = re(i) * scale; out(2 * i + 1) = im(i) * scale; i += 1 }
-    out
-  }
-
-  /** Full spectrum for arbitrary n: FFT when n is a power of two, naive DFT
-    * otherwise (series lengths in this domain are <= a few hundred).
-    */
-  def full(x: Array[Double]): Array[Double] =
-    if (x.length > 0 && (x.length & (x.length - 1)) == 0) fftPow2(x) else naiveFull(x)
-
   /** Precomputed twiddle tables for the partial DFT of the first `m` complex
     * coefficients of length-`n` series — the hot path: SFA only ever needs the
-    * first ~32 coefficients. One instance per (n, m); thread-safe after
-    * construction; serializable so it can ship inside Spark closures.
+    * first ~32 coefficients. One instance per (n, m); thread-safe; serializable
+    * so it can ship inside Spark closures. The tables are not serialized: a
+    * deserialized copy rebuilds them on its first `transform`, so a space that
+    * rides in every query job's task binary costs a few KB, not 2·m·n doubles.
     */
   final class Partial(val n: Int, val m: Int) extends Serializable {
     require(m >= 1 && m <= halfSpectrumSize(n), s"m=$m out of range for n=$n")
     private val scale = 1.0 / math.sqrt(n.toDouble)
     // cos/sin tables: cosT(k)(t) = cos(-2 pi k t / n)
-    private val cosT = Array.tabulate(m, n)((k, t) => math.cos(-2.0 * math.Pi * k * t / n))
-    private val sinT = Array.tabulate(m, n)((k, t) => math.sin(-2.0 * math.Pi * k * t / n))
+    @transient private lazy val cosT = Array.tabulate(m, n)((k, t) => math.cos(-2.0 * math.Pi * k * t / n))
+    @transient private lazy val sinT = Array.tabulate(m, n)((k, t) => math.sin(-2.0 * math.Pi * k * t / n))
 
     /** First m complex coefficients, interleaved [re0, im0, ..., re_{m-1}, im_{m-1}]. */
     def transform(x: Array[Float]): Array[Double] = {
       require(x.length == n, s"series length ${x.length} != table length $n")
       val out = new Array[Double](2 * m)
+      val cos = cosT; val sin = sinT
       var k = 0
       while (k < m) {
-        val ck = cosT(k); val sk = sinT(k)
+        val ck = cos(k); val sk = sin(k)
         var re = 0.0; var im = 0.0
         var t = 0
         while (t < n) { val v = x(t).toDouble; re += v * ck(t); im += v * sk(t); t += 1 }

@@ -64,6 +64,21 @@ object Series {
     acc
   }
 
+  /** `edSqEarlyAbandon(a, b.slice(off, off + a.length), bsfSq)` without the
+    * copy: the same sums in the same order, so the same result bit for bit.
+    * Reads the series stored at offset `off` of a flat array.
+    */
+  def edSqEarlyAbandonAt(a: Array[Float], b: Array[Float], off: Int, bsfSq: Double): Double = {
+    val n = a.length
+    var i = 0; var acc = 0.0
+    while (i < n) {
+      val end = math.min(i + 8, n)
+      while (i < end) { val d = a(i).toDouble - b(off + i); acc += d * d; i += 1 }
+      if (acc > bsfSq) return acc
+    }
+    acc
+  }
+
   /** z-normalized squared ED computed from raw (un-normalized) inputs. */
   def zEdSq(a: Array[Float], b: Array[Float]): Double = edSq(znorm(a), znorm(b))
 }

@@ -49,6 +49,7 @@ final class QuantizedWordSpace(
     val projector: Projector,
 ) extends Serializable {
   require(alpha >= 2 && (alpha & (alpha - 1)) == 0, s"alpha must be a power of two, got $alpha")
+  require(alpha <= 256, s"alpha must be at most 256 (symbols are stored in a byte), got $alpha")
   require(breakpoints.length == l && weights.length == l,
           s"need $l breakpoint tables and weights")
   breakpoints.foreach(bp => require(bp.length == alpha - 1, s"need ${alpha - 1} interior breakpoints"))
@@ -85,49 +86,63 @@ final class QuantizedWordSpace(
   /** Full-cardinality word of a raw (z-normalized) series. */
   def word(x: Array[Float]): Array[Int] = quantize(project(x))
 
-  /** Lower edge of the bin range [sLo, sHi] in dimension j (-inf for sLo=0). */
-  private def loEdge(j: Int, sLo: Int): Double =
-    if (sLo == 0) Double.NegativeInfinity else breakpoints(j)(sLo - 1)
-
-  /** Upper edge of the bin range [sLo, sHi] in dimension j (+inf for sHi=alpha-1). */
-  private def hiEdge(j: Int, sHi: Int): Double =
-    if (sHi == alpha - 1) Double.PositiveInfinity else breakpoints(j)(sHi)
+  /** Weighted squared mindist of value `v` to the bin of full-cardinality
+    * symbol `s` in dimension `j` (Eq. 2): zero inside the bin, else the
+    * squared gap to its nearer edge. The one definition of a word-LBD term,
+    * shared by `wordLbSq` and `lbTable`, so both sum bit-identical terms.
+    */
+  private def termSq(j: Int, s: Int, v: Double): Double = {
+    val bp = breakpoints(j)
+    var d = 0.0
+    if (s > 0 && v < bp(s - 1)) d = bp(s - 1) - v
+    else if (s < alpha - 1 && v > bp(s)) d = v - bp(s)
+    weights(j) * d * d
+  }
 
   /** Per-series squared LBD: query projection vs a full-cardinality word,
-    * early-abandoning against bsfSq. This is the allocation-free hot-path form
-    * of the paper's SIMD kernel (Alg. 3): branchless-style lane math in chunks
-    * of `SimdLbd.ChunkSize`, early abandoning only at chunk boundaries.
-    * `wordLbSqRef` pins the semantics via the generic kernel.
+    * early-abandoning against bsfSq. Terms are summed in dimension order and
+    * abandoning is checked only at chunk boundaries of
+    * `QuantizedWordSpace.ChunkSize` lanes (Alg. 3's control structure).
     */
   def wordLbSq(qp: Array[Double], w: Array[Int], bsfSq: Double): Double = {
     var acc = 0.0
     var j = 0
     while (j < l) {
-      val chunkEnd = math.min(j + SimdLbd.ChunkSize, l)
-      while (j < chunkEnd) {
-        val bp = breakpoints(j)
-        val s = w(j)
-        val v = qp(j)
-        var d = 0.0
-        if (s > 0 && v < bp(s - 1)) d = bp(s - 1) - v
-        else if (s < alpha - 1 && v > bp(s)) d = v - bp(s)
-        acc += weights(j) * d * d
-        j += 1
-      }
+      val chunkEnd = math.min(j + QuantizedWordSpace.ChunkSize, l)
+      while (j < chunkEnd) { acc += termSq(j, w(j), qp(j)); j += 1 }
       if (acc > bsfSq) return acc
     }
     acc
   }
 
-  /** Reference implementation of `wordLbSq` through the generic SIMD kernel —
-    * kept for the equivalence tests.
+  /** The query's l×alpha table of word-LBD terms: entry `(j << maxBits) + s`
+    * is `termSq(j, s, qp(j))`. Built once per query, it turns each word-LBD
+    * into l lookups (the asymmetric distance of product quantization).
     */
-  def wordLbSqRef(qp: Array[Double], w: Array[Int], bsfSq: Double): Double = {
-    val lo = new Array[Double](l)
-    val hi = new Array[Double](l)
+  def lbTable(qp: Array[Double]): Array[Double] = {
+    val table = new Array[Double](l << maxBits)
     var j = 0
-    while (j < l) { lo(j) = loEdge(j, w(j)); hi(j) = hiEdge(j, w(j)); j += 1 }
-    SimdLbd.minDistSq(qp, lo, hi, weights, bsfSq)
+    while (j < l) {
+      var s = 0
+      while (s < alpha) { table((j << maxBits) + s) = termSq(j, s, qp(j)); s += 1 }
+      j += 1
+    }
+    table
+  }
+
+  /** `wordLbSq` of the word stored as unsigned bytes at `symbols(off until
+    * off + l)`, read from the query's `lbTable`. Same terms, order and
+    * abandoning, hence bit-identical results.
+    */
+  def tableLbSq(table: Array[Double], symbols: Array[Byte], off: Int, bsfSq: Double): Double = {
+    var acc = 0.0
+    var j = 0
+    while (j < l) {
+      val chunkEnd = math.min(j + QuantizedWordSpace.ChunkSize, l)
+      while (j < chunkEnd) { acc += table((j << maxBits) + (symbols(off + j) & 0xFF)); j += 1 }
+      if (acc > bsfSq) return acc
+    }
+    acc
   }
 
   /** Node-level squared LBD: query projection vs per-dimension bit prefixes.
@@ -152,22 +167,6 @@ final class QuantizedWordSpace(
     acc
   }
 
-  /** Reference implementation of `nodeLbSq` through the generic kernel. */
-  def nodeLbSqRef(qp: Array[Double], prefix: Array[Int], bits: Array[Int]): Double = {
-    val lo = new Array[Double](l)
-    val hi = new Array[Double](l)
-    var j = 0
-    while (j < l) {
-      val span = maxBits - bits(j)
-      val sLo = prefix(j) << span
-      val sHi = ((prefix(j) + 1) << span) - 1
-      lo(j) = loEdge(j, sLo)
-      hi(j) = hiEdge(j, sHi)
-      j += 1
-    }
-    SimdLbd.minDistSq(qp, lo, hi, weights, Double.PositiveInfinity)
-  }
-
   /** Squared lower bound of the plain projection distance (no quantization):
     * sum_j w_j (qp_j - cp_j)^2. For SFA this is the DFT lower bound (Eq. 1);
     * for iSAX it is the PAA lower bound. Used by tests and the TLB ablation.
@@ -178,4 +177,12 @@ final class QuantizedWordSpace(
     while (j < l) { val d = qp(j) - cp(j); acc += weights(j) * d * d; j += 1 }
     acc
   }
+}
+
+object QuantizedWordSpace {
+
+  /** Lanes per early-abandoning chunk of the word-LBD: one 256-bit vector of
+    * 32-bit floats in the paper's SIMD kernel (Alg. 3, Figure 6).
+    */
+  val ChunkSize = 8
 }

@@ -20,12 +20,14 @@ import scala.collection.mutable
   * Query answering (paper IV-C) is the GEMINI exact algorithm: an approximate
   * descent seeds the best-so-far (BSF), then leaves are processed from a
   * priority queue ordered by node-level lower-bound distance; per-series
-  * word-level LBDs (the SIMD kernel) and early-abandoning real distances prune
-  * the rest. All distances are squared internally; results are ordered by
-  * (distance, id).
+  * word-level LBDs (l lookups in a per-query table, `QuantizedWordSpace.lbTable`)
+  * and early-abandoning real distances prune the rest. All distances are
+  * squared internally; results are ordered by (distance, id).
   *
   * One instance indexes one Spark partition's series; instances are built
-  * single-threaded inside `mapPartitions` and are immutable after build.
+  * single-threaded inside `mapPartitions`. The end of `build` freezes the
+  * tree: series, words and ids move into three flat arrays in leaf order, and
+  * each leaf keeps a slot range into them. A frozen tree is immutable.
   */
 final class TreeIndex private (
     val space: QuantizedWordSpace,
@@ -35,10 +37,18 @@ final class TreeIndex private (
   require(rootBits >= 0 && rootBits <= space.maxBits, s"rootBits=$rootBits out of range")
   require(rootBits.toLong * space.l <= 62, "root key must fit in a Long")
 
-  /** Raw z-normalized series and their external ids, positionally aligned. */
-  private val data  = mutable.ArrayBuffer.empty[Array[Float]]
-  private val ids   = mutable.ArrayBuffer.empty[Long]
-  private val words = mutable.ArrayBuffer.empty[Array[Int]]
+  // Build-time buffers, positionally aligned by insertion index. `freeze`
+  // copies them into the columnar layout below and releases them.
+  private var pendingSeries = mutable.ArrayBuffer.empty[Array[Float]]
+  private var pendingIds    = mutable.ArrayBuffer.empty[Long]
+  private var pendingWords  = mutable.ArrayBuffer.empty[Array[Int]]
+
+  // Frozen columnar layout in leaf order: slot `e` holds the z-normalized
+  // series `values(e * n until (e + 1) * n)`, its word as unsigned bytes
+  // `symbols(e * l until (e + 1) * l)` and its external id `ids(e)`.
+  private var values: Array[Float] = _
+  private var symbols: Array[Byte] = _
+  private var ids: Array[Long] = _
 
   sealed trait Node extends Serializable {
     def prefix: Array[Int]
@@ -47,13 +57,18 @@ final class TreeIndex private (
   final class Inner(val prefix: Array[Int], val bits: Array[Int], val splitDim: Int,
                     var left: Node, var right: Node) extends Node
   final class Leaf(val prefix: Array[Int], val bits: Array[Int]) extends Node {
-    val entries = mutable.ArrayBuffer.empty[Int] // indices into data/ids/words
+    private[TreeIndex] var pending = mutable.ArrayBuffer.empty[Int] // build-time insertion indices
+    private[TreeIndex] var from = 0
+    private[TreeIndex] var until = 0
+
+    /** This leaf's slots in the frozen layout. */
+    def entries: Range = from until until
   }
 
   /** Root children keyed by the packed 1-bit word (bit j = top bit of symbol j). */
   val root = mutable.LongMap.empty[Node]
 
-  def size: Int = data.length
+  def size: Int = ids.length
 
   /** Root-child key: the top `rootBits` bits of every symbol, packed. With
     * rootBits = 0 (the laptop-scale default, see DESIGN.md §5) there is a
@@ -76,18 +91,19 @@ final class TreeIndex private (
     (sym >>> (space.maxBits - 1 - depth)) & 1
 
   /** Insert one (already z-normalized) series. Build-time only. */
-  def insert(id: Long, z: Array[Float]): Unit = {
-    val idx = data.length
-    data += z
-    ids += id
+  private def insert(id: Long, z: Array[Float]): Unit = {
+    require(z.length == space.n, s"series $id has length ${z.length}, expected ${space.n}")
+    val idx = pendingSeries.length
+    pendingSeries += z
+    pendingIds += id
     val w = space.word(z)
-    words += w
+    pendingWords += w
     val key = topBitKey(w)
     root.get(key) match {
       case None =>
         val prefix = Array.tabulate(space.l)(j => w(j) >>> (space.maxBits - rootBits))
         val leaf = new Leaf(prefix, Array.fill(space.l)(rootBits))
-        leaf.entries += idx
+        leaf.pending += idx
         root.update(key, leaf)
       case Some(node) =>
         val replacement = insertInto(node, idx, w)
@@ -107,8 +123,8 @@ final class TreeIndex private (
       }
       inner
     case leaf: Leaf =>
-      leaf.entries += idx
-      if (leaf.entries.length > leafCapacity) split(leaf) else leaf
+      leaf.pending += idx
+      if (leaf.pending.length > leafCapacity) split(leaf) else leaf
   }
 
   /** Split a full leaf: raise the cardinality of the dimension whose next bit
@@ -118,12 +134,12 @@ final class TreeIndex private (
   private def split(leaf: Leaf): Node = {
     var bestDim = -1
     var bestImbalance = Int.MaxValue
-    val half = leaf.entries.length / 2
+    val half = leaf.pending.length / 2
     var d = 0
     while (d < space.l) {
       if (leaf.bits(d) < space.maxBits) {
         var ones = 0
-        leaf.entries.foreach(e => ones += bitAt(words(e)(d), leaf.bits(d)))
+        leaf.pending.foreach(e => ones += bitAt(pendingWords(e)(d), leaf.bits(d)))
         val imbalance = math.abs(ones - half)
         if (imbalance < bestImbalance) { bestImbalance = imbalance; bestDim = d }
       }
@@ -139,16 +155,44 @@ final class TreeIndex private (
       new Leaf(prefix, bits)
     }
     val left = child(0); val right = child(1)
-    leaf.entries.foreach { e =>
-      if (bitAt(words(e)(bestDim), leaf.bits(bestDim)) == 0) left.entries += e
-      else right.entries += e
+    leaf.pending.foreach { e =>
+      if (bitAt(pendingWords(e)(bestDim), leaf.bits(bestDim)) == 0) left.pending += e
+      else right.pending += e
     }
     val inner = new Inner(leaf.prefix, leaf.bits, bestDim, left, right)
     // A degenerate split can leave one child overflowing — recurse until the
     // capacity invariant holds or cardinality is exhausted.
-    if (left.entries.length > leafCapacity) inner.left = split(left)
-    if (right.entries.length > leafCapacity) inner.right = split(right)
+    if (left.pending.length > leafCapacity) inner.left = split(left)
+    if (right.pending.length > leafCapacity) inner.right = split(right)
     inner
+  }
+
+  /** Copy the build buffers into the columnar layout in one pass over the
+    * leaves, give every leaf its slot range, and release the buffers, so the
+    * frozen tree holds no per-series objects. Slots keep insertion order
+    * within a leaf.
+    */
+  private def freeze(): Unit = {
+    val n = space.n; val l = space.l
+    val total = pendingSeries.length
+    values = new Array[Float](total * n)
+    symbols = new Array[Byte](total * l)
+    ids = new Array[Long](total)
+    var slot = 0
+    allLeaves.foreach { leaf =>
+      leaf.from = slot
+      leaf.pending.foreach { e =>
+        System.arraycopy(pendingSeries(e), 0, values, slot * n, n)
+        val w = pendingWords(e)
+        var j = 0
+        while (j < l) { symbols(slot * l + j) = w(j).toByte; j += 1 }
+        ids(slot) = pendingIds(e)
+        slot += 1
+      }
+      leaf.until = slot
+      leaf.pending = null
+    }
+    pendingSeries = null; pendingIds = null; pendingWords = null
   }
 
   // ---------------------------------------------------------------- querying
@@ -184,12 +228,13 @@ final class TreeIndex private (
     * replay merges approximate answers across trees into a shared BSF.
     */
   def approxSearch(qz: Array[Float], qp: Array[Double], k: Int): Array[(Long, Double)] = {
-    if (data.isEmpty || k <= 0) return Array.empty
+    if (ids.isEmpty || k <= 0) return Array.empty
     approxLeaf(qp) match {
       case None => Array.empty
       case Some(leaf) =>
         leaf.entries.toArray
-          .map(e => (ids(e), math.sqrt(Series.edSq(qz, data(e)))))
+          .map(e => (ids(e), math.sqrt(Series.edSqEarlyAbandonAt(qz, values, e * space.n,
+                                                                 Double.PositiveInfinity))))
           .sortBy { case (id, d) => (d, id) }
           .take(k)
     }
@@ -210,17 +255,23 @@ final class TreeIndex private (
     */
   def searchProjected(qz: Array[Float], qp: Array[Double], k: Int,
                       initialBsfSq: Double = Double.PositiveInfinity): Array[(Long, Double)] = {
-    if (data.isEmpty || k <= 0) return Array.empty
+    if (ids.isEmpty || k <= 0) return Array.empty
+    require(qz.length == space.n, s"query length ${qz.length} != series length ${space.n}")
     val top = new TopK(k)
     def bsfSq: Double = math.min(initialBsfSq, top.boundSq)
-    def scanLeaf(leaf: Leaf): Unit =
-      leaf.entries.foreach { e =>
+    val table = space.lbTable(qp)
+    val n = space.n; val l = space.l
+    def scanLeaf(leaf: Leaf): Unit = {
+      var e = leaf.from
+      while (e < leaf.until) {
         val bsf = bsfSq
-        if (space.wordLbSq(qp, words(e), bsf) <= bsf) {
-          val dSq = Series.edSqEarlyAbandon(qz, data(e), bsf)
+        if (space.tableLbSq(table, symbols, e * l, bsf) <= bsf) {
+          val dSq = Series.edSqEarlyAbandonAt(qz, values, e * n, bsf)
           if (dSq <= bsf) top.offer(dSq, ids(e))
         }
+        e += 1
       }
+    }
 
     // Phase 1 — approximate search: seed the BSF with real distances from the
     // query's own leaf (paper IV-C). That leaf is not scanned again below.
@@ -269,8 +320,8 @@ final class TreeIndex private (
     buf.toSeq
   }
 
-  /** Word of the stored series at internal index `e` — test hook. */
-  def wordOf(e: Int): Array[Int] = words(e)
+  /** Word and external id of the series in slot `e` — test hooks. */
+  def wordOf(e: Int): Array[Int] = Array.tabulate(space.l)(j => symbols(e * space.l + j) & 0xFF)
   def idOf(e: Int): Long = ids(e)
 }
 
@@ -284,6 +335,7 @@ object TreeIndex {
     require(leafCapacity >= 1, s"leafCapacity must be >= 1, got $leafCapacity")
     val t = new TreeIndex(space, leafCapacity, rootBits)
     it.foreach { case (id, raw) => t.insert(id, Series.znorm(raw)) }
+    t.freeze()
     t
   }
 }

@@ -14,7 +14,17 @@ class QueryBenchSpec extends SparkSpec {
     assert(runs.map(_.engine) == Seq("UCR-P", "FAISS", "MESSI", "SOFA"))
     runs.foreach { r =>
       assert(r.timesMs.length == 3 && r.timesMs.forall(_ > 0), s"${r.engine}: ${r.timesMs.mkString(",")}")
-      assert(r.nnDists.length == 3 && r.nnDists.forall(d => d >= 0 && !d.isNaN), r.engine)
+      assert(r.kthDists.length == 3 && r.kthDists.forall(d => d >= 0 && !d.isNaN), r.engine)
     }
+  }
+
+  test("table3 cross-checks every engine's k-th distance per (dataset, k)") {
+    val spec = Benchmark17.catalog.find(_.name == "SIFT1b").get.scaled(0.005)
+    // table3 throws if the engines disagree on any query's k-th distance
+    val grouped = QueryBench.table3(spark, Seq(spec), partitions = 2, nQueries = 3, ks = Seq(1, 5),
+                                    IndexConfig(leafCapacity = 100))
+    assert(grouped.keySet == Set("UCR-P", "FAISS", "MESSI", "SOFA").map((_, 1)) ++
+                             Set("FAISS", "MESSI", "SOFA").map((_, 5)))
+    grouped.values.flatten.foreach(r => assert(r.kthDists.forall(d => d >= 0 && !d.isNaN), r.engine))
   }
 }

@@ -16,25 +16,25 @@ class DftSpec extends AnyFunSuite {
     val r = TestData.rng(20)
     for (n <- Seq(2, 4, 8, 16, 32, 64, 128, 256)) {
       val x = Array.fill(n)(r.nextGaussian())
-      assertClose(Dft.fftPow2(x), Dft.naiveFull(x), 1e-7)
+      assertClose(DftReference.fftPow2(x), DftReference.naiveFull(x), 1e-7)
     }
   }
 
   test("fftPow2 rejects non-power-of-two lengths") {
-    intercept[IllegalArgumentException](Dft.fftPow2(new Array[Double](96)))
+    intercept[IllegalArgumentException](DftReference.fftPow2(new Array[Double](96)))
   }
 
   test("full dispatches correctly for non-power-of-two lengths") {
     val r = TestData.rng(21)
     for (n <- Seq(3, 5, 96, 100, 120)) {
       val x = Array.fill(n)(r.nextGaussian())
-      assertClose(Dft.full(x), Dft.naiveFull(x), 1e-8)
+      assertClose(DftReference.full(x), DftReference.naiveFull(x), 1e-8)
     }
   }
 
   test("DFT of a constant series has only a DC component") {
     val n = 32
-    val spec = Dft.full(Array.fill(n)(2.0))
+    val spec = DftReference.full(Array.fill(n)(2.0))
     assert(math.abs(spec(0) - 2.0 * math.sqrt(n.toDouble)) < 1e-9) // sum/sqrt(n)
     spec.drop(2).foreach(v => assert(math.abs(v) < 1e-9))
   }
@@ -43,7 +43,7 @@ class DftSpec extends AnyFunSuite {
     val n = 64
     val f = 5
     val x = Array.tabulate(n)(i => math.cos(2 * math.Pi * f * i / n))
-    val spec = Dft.full(x)
+    val spec = DftReference.full(x)
     // coefficient f: re = (n/2)/sqrt(n)
     assert(math.abs(spec(2 * f) - math.sqrt(n.toDouble) / 2) < 1e-9)
     for (k <- 1 until n / 2 if k != f) {
@@ -57,8 +57,8 @@ class DftSpec extends AnyFunSuite {
     val x = Array.fill(n)(r.nextGaussian())
     val y = Array.fill(n)(r.nextGaussian())
     val sum = x.zip(y).map { case (a, b) => 2.0 * a - 3.0 * b }
-    val got = Dft.full(sum)
-    val want = Dft.full(x).zip(Dft.full(y)).map { case (a, b) => 2.0 * a - 3.0 * b }
+    val got = DftReference.full(sum)
+    val want = DftReference.full(x).zip(DftReference.full(y)).map { case (a, b) => 2.0 * a - 3.0 * b }
     assertClose(got, want, 1e-8)
   }
 
@@ -66,7 +66,7 @@ class DftSpec extends AnyFunSuite {
     val r = TestData.rng(23)
     for (n <- Seq(16, 64, 100)) {
       val x = Array.fill(n)(r.nextGaussian())
-      val spec = Dft.full(x)
+      val spec = DftReference.full(x)
       val timeEnergy = x.map(v => v * v).sum
       val freqEnergy = spec.grouped(2).map(c => c(0) * c(0) + c(1) * c(1)).sum
       assert(math.abs(timeEnergy - freqEnergy) < 1e-8, s"n=$n")
@@ -77,7 +77,7 @@ class DftSpec extends AnyFunSuite {
     val r = TestData.rng(24)
     for (n <- Seq(16, 64, 100, 97)) {
       val x = Array.fill(n)(r.nextGaussian())
-      val spec = Dft.full(x)
+      val spec = DftReference.full(x)
       val timeEnergy = x.map(v => v * v).sum
       val half = Dft.halfSpectrumSize(n)
       var acc = 0.0
@@ -94,7 +94,7 @@ class DftSpec extends AnyFunSuite {
     for (n <- Seq(32, 100); _ <- 1 to 20) {
       val a = Array.fill(n)(r.nextGaussian())
       val b = Array.fill(n)(r.nextGaussian())
-      val sa = Dft.full(a); val sb = Dft.full(b)
+      val sa = DftReference.full(a); val sb = DftReference.full(b)
       val ed = a.zip(b).map { case (x, y) => (x - y) * (x - y) }.sum
       val half = Dft.halfSpectrumSize(n)
       var dall = 0.0
@@ -122,7 +122,7 @@ class DftSpec extends AnyFunSuite {
       val partial = new Dft.Partial(n, m)
       val xf = Array.fill(n)(r.nextGaussian().toFloat)
       val got = partial.transform(xf)
-      val want = Dft.full(xf.map(_.toDouble)).take(2 * m)
+      val want = DftReference.full(xf.map(_.toDouble)).take(2 * m)
       got.zip(want).foreach { case (a, b) => assert(math.abs(a - b) < 1e-6) }
     }
   }
@@ -148,7 +148,7 @@ class DftSpec extends AnyFunSuite {
   test("DC coefficient of a z-normalized series is ~0") {
     val r = TestData.rng(27)
     val z = Series.znorm(TestData.randomSeries(r, 64))
-    val spec = Dft.full(z.map(_.toDouble))
+    val spec = DftReference.full(z.map(_.toDouble))
     assert(math.abs(spec(0)) < 1e-4)
     assert(math.abs(spec(1)) < 1e-12)
   }

@@ -109,6 +109,22 @@ class SeriesSpec extends AnyFunSuite {
     assert(ea >= 8.0 - 1e-9 && ea <= 9.0) // one chunk of 8 lanes, each diff 1
   }
 
+  test("offset early-abandoning edSq equals edSqEarlyAbandon exactly") {
+    val r = TestData.rng(7)
+    for (n <- Seq(1, 7, 8, 9, 64, 100)) {
+      val q = TestData.randomSeries(r, n)
+      val xs = Array.fill(4)(TestData.randomSeries(r, n))
+      val flat = Array.fill(3)(0.5f) ++ xs.flatten
+      xs.indices.foreach { i =>
+        val full = Series.edSq(q, xs(i))
+        for (bsf <- Seq(Double.PositiveInfinity, full, full / 3, 0.0)) {
+          assert(Series.edSqEarlyAbandonAt(q, flat, 3 + i * n, bsf) ==
+                 Series.edSqEarlyAbandon(q, xs(i), bsf), s"n=$n i=$i bsf=$bsf")
+        }
+      }
+    }
+  }
+
   test("zEdSq equals edSq on pre-normalized inputs") {
     val r = TestData.rng(10)
     val a = Series.znorm(TestData.randomSeries(r, 60))

@@ -191,4 +191,19 @@ class SfaSpec extends AnyFunSuite {
     val x = Series.znorm(TestData.mixedSeries(TestData.rng(80), 64))
     assert(m1.space.word(x).sameElements(m2.space.word(x)))
   }
+
+  test("an SFA space serializes small and projects identically after a round trip") {
+    val n = 256
+    val r = TestData.rng(71)
+    val space = Sfa.fit(Array.fill(100)(Series.znorm(TestData.mixedSeries(r, n))), n, maxCoeff = 32).space
+    val xs = Array.fill(5)(Series.znorm(TestData.mixedSeries(r, n)))
+    val before = xs.map(space.project)
+    val buf = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(buf)
+    out.writeObject(space); out.close()
+    assert(buf.size < 40000, s"serialized SFA space is ${buf.size} bytes")
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(buf.toByteArray))
+      .readObject().asInstanceOf[QuantizedWordSpace]
+    xs.indices.foreach(i => assert(back.project(xs(i)).sameElements(before(i))))
+  }
 }

@@ -21,8 +21,8 @@ class SimdLbdSpec extends AnyFunSuite {
   test("chunked kernel equals the branchy reference without abandoning") {
     for (seed <- 1L to 50L; l <- Seq(1, 7, 8, 9, 16, 31)) {
       val (qp, lo, hi, w) = randomBoxes(seed * 100 + l, l)
-      val got = SimdLbd.minDistSq(qp, lo, hi, w, Double.PositiveInfinity)
-      val want = SimdLbd.minDistSqReference(qp, lo, hi, w)
+      val got = LbdReference.minDistSq(qp, lo, hi, w, Double.PositiveInfinity)
+      val want = LbdReference.minDistSqReference(qp, lo, hi, w)
       assert(math.abs(got - want) < 1e-12, s"seed=$seed l=$l")
     }
   }
@@ -33,7 +33,7 @@ class SimdLbdSpec extends AnyFunSuite {
     val lo = Array.fill(l)(-1.0)
     val hi = Array.fill(l)(1.0)
     val w = Array.fill(l)(2.0)
-    assert(SimdLbd.minDistSq(qp, lo, hi, w, Double.PositiveInfinity) == 0.0)
+    assert(LbdReference.minDistSq(qp, lo, hi, w, Double.PositiveInfinity) == 0.0)
   }
 
   test("boundary values: lower edge is inside, upper edge is outside-by-zero") {
@@ -41,7 +41,7 @@ class SimdLbdSpec extends AnyFunSuite {
     val lo = Array(-1.0, -1.0)
     val hi = Array(1.0, 1.0)
     val w = Array(1.0, 1.0)
-    assert(SimdLbd.minDistSq(qp, lo, hi, w, Double.PositiveInfinity) == 0.0)
+    assert(LbdReference.minDistSq(qp, lo, hi, w, Double.PositiveInfinity) == 0.0)
   }
 
   test("UPPER and LOWER branches compute the edge distance") {
@@ -50,7 +50,7 @@ class SimdLbdSpec extends AnyFunSuite {
     val hi = Array(1.0, 1.0)
     val w = Array(2.0, 1.0)
     // above: (3-1)^2 * 2 = 8 ; below: (-1 - -4)^2 * 1 = 9
-    assert(math.abs(SimdLbd.minDistSq(qp, lo, hi, w, Double.PositiveInfinity) - 17.0) < 1e-12)
+    assert(math.abs(LbdReference.minDistSq(qp, lo, hi, w, Double.PositiveInfinity) - 17.0) < 1e-12)
   }
 
   test("infinite box edges never contribute") {
@@ -58,15 +58,15 @@ class SimdLbdSpec extends AnyFunSuite {
     val lo = Array(Double.NegativeInfinity, Double.NegativeInfinity)
     val hi = Array(Double.PositiveInfinity, Double.PositiveInfinity)
     val w = Array(2.0, 2.0)
-    assert(SimdLbd.minDistSq(qp, lo, hi, w, Double.PositiveInfinity) == 0.0)
+    assert(LbdReference.minDistSq(qp, lo, hi, w, Double.PositiveInfinity) == 0.0)
   }
 
   test("early abandoning: a result below bsf is always the exact distance") {
     for (seed <- 1L to 100L) {
       val (qp, lo, hi, w) = randomBoxes(seed, 24)
-      val exact = SimdLbd.minDistSqReference(qp, lo, hi, w)
+      val exact = LbdReference.minDistSqReference(qp, lo, hi, w)
       val bsf = exact * (0.25 + (seed % 7) * 0.25) // thresholds around exact
-      val got = SimdLbd.minDistSq(qp, lo, hi, w, bsf)
+      val got = LbdReference.minDistSq(qp, lo, hi, w, bsf)
       if (got < bsf) assert(math.abs(got - exact) < 1e-12)
       else assert(exact >= got - 1e-12 || got > bsf) // abandoned early: partial sum <= exact
     }
@@ -79,15 +79,15 @@ class SimdLbdSpec extends AnyFunSuite {
     val hi = Array.fill(l)(1.0)
     val w = Array.fill(l)(1.0)
     // each lane contributes 81; chunk of 8 -> 648 > bsf 1 -> abandon after chunk 1
-    val got = SimdLbd.minDistSq(qp, lo, hi, w, 1.0)
+    val got = LbdReference.minDistSq(qp, lo, hi, w, 1.0)
     assert(math.abs(got - 648.0) < 1e-12)
   }
 
   test("abandoned result is always a lower bound of the exact distance") {
     for (seed <- 200L to 260L) {
       val (qp, lo, hi, w) = randomBoxes(seed, 32)
-      val exact = SimdLbd.minDistSqReference(qp, lo, hi, w)
-      val got = SimdLbd.minDistSq(qp, lo, hi, w, exact / 8)
+      val exact = LbdReference.minDistSqReference(qp, lo, hi, w)
+      val got = LbdReference.minDistSq(qp, lo, hi, w, exact / 8)
       assert(got <= exact + 1e-12)
     }
   }

@@ -112,13 +112,46 @@ class WordSpaceSpec extends AnyFunSuite {
       val qp = s.project(q)
       val w = s.word(c)
       val bsf = if (r.nextBoolean()) Double.PositiveInfinity
-                else s.wordLbSqRef(qp, w, Double.PositiveInfinity) * r.nextDouble() * 2
+                else LbdReference.wordLbSq(s, qp, w, Double.PositiveInfinity) * r.nextDouble() * 2
       val fast = s.wordLbSq(qp, w, bsf)
-      val ref = s.wordLbSqRef(qp, w, bsf)
+      val ref = LbdReference.wordLbSq(s, qp, w, bsf)
       assert(math.abs(fast - ref) < 1e-12)
       val bits = Array.fill(s.l)(1 + r.nextInt(s.maxBits))
       val prefix = w.indices.map(j => w(j) >>> (s.maxBits - bits(j))).toArray
-      assert(math.abs(s.nodeLbSq(qp, prefix, bits) - s.nodeLbSqRef(qp, prefix, bits)) < 1e-12)
+      assert(math.abs(s.nodeLbSq(qp, prefix, bits) - LbdReference.nodeLbSq(s, qp, prefix, bits)) < 1e-12)
+    }
+  }
+
+  test("alpha above 256 is rejected: symbols are stored in a byte") {
+    val e = intercept[IllegalArgumentException](Isax.space(64, 4, 512))
+    assert(e.getMessage.contains("512"))
+    assert(Isax.space(64, 4, 256).alpha == 256)
+  }
+
+  test("table LBD equals wordLbSq exactly — iSAX and SFA, alpha {8, 256}, infinite and abandoning bounds") {
+    val n = 64
+    val r = TestData.rng(46)
+    val train = Array.fill(150)(Series.znorm(TestData.mixedSeries(r, n)))
+    for (alpha <- Seq(8, 256); s <- Seq(Isax.space(n, 16, alpha), Sfa.fit(train, n, 16, alpha).space)) {
+      var abandoned = 0
+      for (_ <- 1 to 200) {
+        val qp = s.project(Series.znorm(TestData.mixedSeries(r, n)))
+        val words = Array.fill(3)(s.word(Series.znorm(TestData.mixedSeries(r, n))))
+        val symbols = words.flatMap(_.map(_.toByte))
+        val table = s.lbTable(qp)
+        words.indices.foreach { i =>
+          val full = s.wordLbSq(qp, words(i), Double.PositiveInfinity)
+          // half the first chunk's sum: whenever that sum is positive, both
+          // kernels abandon after the first chunk
+          val firstChunk = s.wordLbSq(qp, words(i), 0.0)
+          for (bsf <- Seq(Double.PositiveInfinity, firstChunk / 2)) {
+            val want = s.wordLbSq(qp, words(i), bsf)
+            assert(s.tableLbSq(table, symbols, i * s.l, bsf) == want, s"${s.name} bsf=$bsf")
+            if (want < full) abandoned += 1
+          }
+        }
+      }
+      assert(abandoned > 0, s"${s.name}: no finite bound abandoned")
     }
   }
 

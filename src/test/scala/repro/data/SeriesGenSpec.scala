@@ -1,7 +1,7 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Dft, Series}
+import repro.core.{Dft, DftReference, Series}
 import repro.data.SeriesGen._
 
 class SeriesGenSpec extends AnyFunSuite {
@@ -32,7 +32,7 @@ class SeriesGenSpec extends AnyFunSuite {
   /** Fraction of spectral energy below frequency `cut` for a z-normed series. */
   private def lowFreqEnergy(x: Array[Float], cut: Int): Double = {
     val z = Series.znorm(x)
-    val spec = Dft.full(z.map(_.toDouble))
+    val spec = DftReference.full(z.map(_.toDouble))
     val n = x.length
     var low = 0.0; var tot = 0.0
     for (k <- 1 until Dft.halfSpectrumSize(n); p <- 0 to 1) {
@@ -60,7 +60,7 @@ class SeriesGenSpec extends AnyFunSuite {
     var inBand = 0
     for (i <- 0 until 20) {
       val z = Series.znorm(SeriesGen.series(p, 7, i))
-      val spec = Dft.full(z.map(_.toDouble))
+      val spec = DftReference.full(z.map(_.toDouble))
       val energies = (1 until 128).map(k => spec(2 * k) * spec(2 * k) + spec(2 * k + 1) * spec(2 * k + 1))
       val kPeak = energies.indexOf(energies.max) + 1
       if (kPeak >= 4 && kPeak <= 24) inBand += 1 // damped oscillation widens the band

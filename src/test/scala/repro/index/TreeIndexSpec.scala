@@ -202,6 +202,12 @@ class TreeIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("a series of the wrong length is rejected with its id and both lengths") {
+    val data = TestData.dataset(154, 5, 64) :+ (77L, new Array[Float](63))
+    val e = intercept[IllegalArgumentException](TreeIndex.build(isaxSpace(64), 8, data.iterator))
+    assert(e.getMessage.contains("77") && e.getMessage.contains("63") && e.getMessage.contains("64"))
+  }
+
   test("rootBits validation") {
     intercept[IllegalArgumentException] {
       TreeIndex.build(isaxSpace(64), 8, Iterator.empty, rootBits = 9)

@@ -70,6 +70,37 @@ class EnginesParitySpec extends SparkSpec {
     }
   }
 
+  test("exact duplicates of a non-constant series — ids and distances of brute force, partitions {1, 3, 8}, k {1, 3, 5}") {
+    import spark.implicits._
+    val n = 64
+    val dupIds = Set(4L, 19L, 42L, 66L)
+    // four exact copies of series 4, loaded in descending id order
+    val base = TestData.dataset(263, 80, n)
+    val shape = base(4)._2
+    val data = base.map { case (id, v) => (id, if (dupIds(id)) shape.clone() else v) }.reverse
+    val ds = spark.createDataset(data.map { case (id, v) => SeriesRecord(id, v) }.toIndexedSeq)
+    val r = TestData.rng(264)
+    val queries = Seq(shape, shape.map(x => x + 0.05f * r.nextGaussian().toFloat))
+    for (p <- Seq(1, 3, 8)) {
+      val cfg = IndexConfig(leafCapacity = 16, partitions = p, sampleRate = 1.0)
+      val exact = Seq(EngineFactory.sofa(ds, n, cfg), EngineFactory.messi(ds, n, cfg), EngineFactory.ucr(ds, p))
+      val faiss = EngineFactory.faiss(ds, p)
+      try {
+        for (k <- Seq(1, 3, 5); q <- queries) {
+          val want = TestData.bruteKnn(data.toIndexedSeq, q, k)
+          exact.foreach { e =>
+            val got = e.search(q, k)
+            assert(got.sameElements(want), s"${e.name} p=$p k=$k: ${got.mkString(",")} want ${want.mkString(",")}")
+          }
+          val got = faiss.search(q, k)
+          assert(got.map(_._1).sameElements(want.map(_._1)),
+            s"${faiss.name} p=$p k=$k: ${got.mkString(",")} want ${want.mkString(",")}")
+          TestData.assertSameKnn(got, want, tol = 1e-4)
+        }
+      } finally (exact :+ faiss).foreach(_.close())
+    }
+  }
+
   test("engines handle the vector-data profile (short series, n=96)") {
     val spec = Benchmark17.catalog.find(_.name == "Deep1b").get.scaled(0.01)
     val (ds, queries) = Benchmark17.load(spark, spec, nQueries = 3)
