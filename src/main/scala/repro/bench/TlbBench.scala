@@ -31,7 +31,7 @@ object TlbBench {
     val ds = SeriesGen.dataset(spark, spec.profile, spec.count, spec.seed)
     val queries = SeriesGen.queries(spec.profile, nQueries, spec.seed)
 
-    val stats = McbSpark.fitStats(ds, n, maxCoeff = 32, sampleRate = sampleRate, seed = spec.seed)
+    val stats = Sfa.fitStats(McbSpark.sample(ds, sampleRate, spec.seed), n, maxCoeff = 32)
     val configs: Seq[Config] = Alphabets.flatMap { a =>
       Seq(
         Config("SFA ED +VAR", a, Sfa.modelFromStats(stats, l, a, Sfa.EquiDepth, Sfa.ByVariance).space),

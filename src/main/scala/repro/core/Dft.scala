@@ -20,34 +20,39 @@ object Dft {
   /** Number of complex coefficients in the non-redundant half spectrum. */
   def halfSpectrumSize(n: Int): Int = n / 2 + 1
 
-  /** Precomputed twiddle tables for the partial DFT of the first `m` complex
-    * coefficients of length-`n` series — the hot path: SFA only ever needs the
-    * first ~32 coefficients. One instance per (n, m); thread-safe; serializable
-    * so it can ship inside Spark closures. The tables are not serialized: a
-    * deserialized copy rebuilds them on its first `transform`, so a space that
-    * rides in every query job's task binary costs a few KB, not 2·m·n doubles.
+  /** The DFT values at an explicit list of flat value indices (2k = Re of
+    * coefficient k, 2k+1 = Im) of length-`n` series, in the order given:
+    * SFA only ever needs the candidate values (MCB) or the l selected ones
+    * (projection). Each value is the sum of x(t) times one twiddle row,
+    * scaled by 1/sqrt(n) afterwards. Thread-safe; serializable so it can ship
+    * inside Spark closures. The rows are not serialized: a deserialized copy
+    * rebuilds them on its first `transform`, so a space that rides in every
+    * query job's task binary costs a few bytes, not one row per index.
     */
-  final class Partial(val n: Int, val m: Int) extends Serializable {
-    require(m >= 1 && m <= halfSpectrumSize(n), s"m=$m out of range for n=$n")
+  final class Selected(val n: Int, val valueIndices: Array[Int]) extends Serializable {
+    valueIndices.foreach(vi => require(vi >= 0 && vi / 2 < halfSpectrumSize(n),
+                                       s"value index $vi out of range for n=$n"))
     private val scale = 1.0 / math.sqrt(n.toDouble)
-    // cos/sin tables: cosT(k)(t) = cos(-2 pi k t / n)
-    @transient private lazy val cosT = Array.tabulate(m, n)((k, t) => math.cos(-2.0 * math.Pi * k * t / n))
-    @transient private lazy val sinT = Array.tabulate(m, n)((k, t) => math.sin(-2.0 * math.Pi * k * t / n))
+    // row(j)(t) = cos(-2 pi k t / n) for Re, sin(-2 pi k t / n) for Im, k = vi / 2
+    @transient private lazy val rows = valueIndices.map { vi =>
+      val k = vi / 2
+      if ((vi & 1) == 0) Array.tabulate(n)(t => math.cos(-2.0 * math.Pi * k * t / n))
+      else Array.tabulate(n)(t => math.sin(-2.0 * math.Pi * k * t / n))
+    }
 
-    /** First m complex coefficients, interleaved [re0, im0, ..., re_{m-1}, im_{m-1}]. */
+    /** `out(j)` is the value at flat index `valueIndices(j)`. */
     def transform(x: Array[Float]): Array[Double] = {
       require(x.length == n, s"series length ${x.length} != table length $n")
-      val out = new Array[Double](2 * m)
-      val cos = cosT; val sin = sinT
-      var k = 0
-      while (k < m) {
-        val ck = cos(k); val sk = sin(k)
-        var re = 0.0; var im = 0.0
+      val out = new Array[Double](valueIndices.length)
+      val rs = rows
+      var j = 0
+      while (j < rs.length) {
+        val row = rs(j)
+        var acc = 0.0
         var t = 0
-        while (t < n) { val v = x(t).toDouble; re += v * ck(t); im += v * sk(t); t += 1 }
-        out(2 * k) = re * scale
-        out(2 * k + 1) = im * scale
-        k += 1
+        while (t < n) { acc += x(t).toDouble * row(t); t += 1 }
+        out(j) = acc * scale
+        j += 1
       }
       out
     }

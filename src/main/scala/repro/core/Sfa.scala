@@ -34,22 +34,20 @@ object Sfa {
                             quantiles: Array[Double]) extends Serializable
 
   /** Result of the stats pass: one ColStats per candidate real/imag value. */
-  final case class Stats(n: Int, maxCoeff: Int, cols: Array[ColStats]) extends Serializable
+  final case class Stats(n: Int, cols: Array[ColStats]) extends Serializable
 
   /** A fitted SFA model; `space` instantiates the word space the index uses. */
-  final case class Model(n: Int, l: Int, alpha: Int, maxCoeff: Int,
+  final case class Model(n: Int, l: Int, alpha: Int,
                          bestIdx: Array[Int], breakpoints: Array[Array[Double]],
                          binning: Binning, selection: Selection) extends Serializable {
-    def space: QuantizedWordSpace = {
-      val m = maxCoeff + 1 // partial DFT covers coefficients 0..maxCoeff
+    def space: QuantizedWordSpace =
       new QuantizedWordSpace(
         name = s"SFA(n=$n,l=$l,a=$alpha,$binning,$selection)",
         n = n, l = l, alpha = alpha,
         breakpoints = breakpoints,
         weights = bestIdx.map(vi => Dft.valueWeight(vi, n)),
-        projector = new DftProjector(new Dft.Partial(n, m), bestIdx),
+        projector = new DftProjector(n, bestIdx),
       )
-    }
   }
 
   /** Candidate flat value indices: real/imag parts of coefficients
@@ -66,14 +64,13 @@ object Sfa {
     require(sample.nonEmpty, "MCB sample must be non-empty")
     require(sample.forall(_.length == n), s"all sample series must have length $n")
     val cand = candidateValueIndices(n, maxCoeff)
-    val m = math.min(maxCoeff, Dft.halfSpectrumSize(n) - 1) + 1
-    val partial = new Dft.Partial(n, m)
+    val dft = new Dft.Selected(n, cand)
     val cols = Array.fill(cand.length)(new Array[Double](sample.length))
     var i = 0
     while (i < sample.length) {
-      val dft = partial.transform(sample(i))
+      val vals = dft.transform(sample(i))
       var c = 0
-      while (c < cand.length) { cols(c)(i) = dft(cand(c)); c += 1 }
+      while (c < cand.length) { cols(c)(i) = vals(c); c += 1 }
       i += 1
     }
     val stats = cand.indices.map { c =>
@@ -89,7 +86,7 @@ object Sfa {
       }
       ColStats(cand(c), variance, sorted.head, sorted.last, quantiles)
     }.toArray
-    Stats(n, m - 1, stats)
+    Stats(n, stats)
   }
 
   /** Derive a model for a concrete configuration from the stats pass.
@@ -119,7 +116,7 @@ object Sfa {
           Array.tabulate(alpha - 1)(i => cs.quantiles((i + 1) * step - 1))
       }
     }
-    Model(stats.n, l, alpha, stats.maxCoeff, chosen.map(_.vi), breakpoints, binning, selection)
+    Model(stats.n, l, alpha, chosen.map(_.vi), breakpoints, binning, selection)
   }
 
   /** One-shot local MCB fit (Algorithm 1 without the Spark sampling stage —

@@ -12,18 +12,13 @@ final class PaaProjector(val n: Int, val l: Int) extends Projector {
   override def project(x: Array[Float]): Array[Double] = Paa.transform(x, l)
 }
 
-/** DFT projector for SFA: partial DFT of the first `partial.m` coefficients,
-  * then selection of the learned best real/imag value indices (paper IV-E2).
-  * `bestIdx(j)` is a flat value index (2k = Re of coefficient k, 2k+1 = Im).
+/** DFT projector for SFA: the learned best real/imag values (paper IV-E2),
+  * in `bestIdx` order. `bestIdx(j)` is a flat value index (2k = Re of
+  * coefficient k, 2k+1 = Im).
   */
-final class DftProjector(val partial: Dft.Partial, val bestIdx: Array[Int]) extends Projector {
-  override def project(x: Array[Float]): Array[Double] = {
-    val all = partial.transform(x)
-    val out = new Array[Double](bestIdx.length)
-    var j = 0
-    while (j < bestIdx.length) { out(j) = all(bestIdx(j)); j += 1 }
-    out
-  }
+final class DftProjector(n: Int, bestIdx: Array[Int]) extends Projector {
+  private val dft = new Dft.Selected(n, bestIdx)
+  override def project(x: Array[Float]): Array[Double] = dft.transform(x)
 }
 
 /** A quantized word space: the common abstraction behind iSAX and SFA that the

@@ -10,8 +10,8 @@ import repro.core.{Isax, SeriesRecord}
   */
 object EngineFactory {
 
-  /** SOFA = distributed MCB fit (SFA, equi-width, variance selection by
-    * default) + the MESSI-style tree over SFA words.
+  /** SOFA = MCB fit on a sample of `ds` (SFA, equi-width, variance selection
+    * by default) + the MESSI-style tree over SFA words.
     */
   def sofa(ds: Dataset[SeriesRecord], n: Int, cfg: IndexConfig): DistributedIndex = {
     val model = McbSpark.fit(ds, n, cfg.l, cfg.alpha, cfg.maxCoeff, cfg.sampleRate,

@@ -1,67 +1,28 @@
 package repro.spark
 
-import org.apache.spark.sql.{Dataset, functions => F}
-import repro.core.{Dft, Series, SeriesRecord, Sfa}
+import org.apache.spark.sql.Dataset
+import repro.core.{Series, SeriesRecord, Sfa}
 
-/** Distributed MCB (Algorithm 1) on the DataFrame/Catalyst API: sample the
-  * dataset, DFT each sampled series, `posexplode` the candidate Fourier
-  * values, and compute per-value variance / min / max / quantiles in one
-  * `groupBy(pos)` aggregation. The resulting `Sfa.Stats` serves every
-  * (l, alpha, binning, selection) configuration via `Sfa.modelFromStats`.
+/** The Spark stage of MCB (Algorithm 1): draw the sample. The fit itself is
+  * `Sfa.fit` on the driver, since the sample is small (1% by default).
   */
 object McbSpark {
 
-  /** Statistics pass over a `sampleRate` sample of `ds` (paper default 1%).
-    * Falls back to the first 64 series when the sample comes back empty (tiny
-    * test datasets).
+  /** A `sampleRate` sample of `ds` (paper default 1%), collected to the
+    * driver and z-normalized, in one Spark job. Falls back to the first 64
+    * series when the sample comes back empty (tiny test datasets).
     */
-  def fitStats(ds: Dataset[SeriesRecord], n: Int, maxCoeff: Int = 32,
-               sampleRate: Double = 0.01, seed: Long = 42): Sfa.Stats = {
-    val spark = ds.sparkSession
-    import spark.implicits._
-
-    val cand = Sfa.candidateValueIndices(n, maxCoeff)
-    val m = math.min(maxCoeff, Dft.halfSpectrumSize(n) - 1) + 1
-    val partial = new Dft.Partial(n, m)
-
-    var sampled = ds.sample(withReplacement = false, sampleRate, seed)
-    if (sampled.isEmpty) sampled = ds.limit(64)
-
-    // DFT each sampled series (z-normalized first) and keep candidate values.
-    val vals = sampled.map { r =>
-      val dft = partial.transform(Series.znorm(r.values))
-      cand.map(dft(_))
-    }.toDF("vals")
-
-    val probs = (1 until Sfa.QuantileLevels).map(_.toDouble / Sfa.QuantileLevels).toArray
-    val agg = vals
-      .select(F.posexplode(F.col("vals")).as(Seq("pos", "v")))
-      .groupBy("pos")
-      .agg(
-        F.var_pop("v").as("variance"),
-        F.min("v").as("mn"),
-        F.max("v").as("mx"),
-        F.percentile_approx(F.col("v"), F.lit(probs), F.lit(10000)).as("qs"),
-      )
-      .collect()
-
-    val cols = agg.map { row =>
-      val pos = row.getAs[Int]("pos")
-      Sfa.ColStats(
-        vi = cand(pos),
-        variance = row.getAs[Double]("variance"),
-        min = row.getAs[Double]("mn"),
-        max = row.getAs[Double]("mx"),
-        quantiles = row.getAs[Seq[Double]]("qs").toArray,
-      )
-    }.sortBy(_.vi)
-    Sfa.Stats(n, m - 1, cols)
+  def sample(ds: Dataset[SeriesRecord], sampleRate: Double = 0.01,
+             seed: Long = 42): Array[Array[Float]] = {
+    val sampled = ds.sample(withReplacement = false, sampleRate, seed).collect()
+    val rows = if (sampled.nonEmpty) sampled else ds.limit(64).collect()
+    rows.map(r => Series.znorm(r.values))
   }
 
-  /** One-shot distributed fit, mirroring `Sfa.fit`. */
+  /** One-shot fit: `Sfa.fit` over `sample(ds, sampleRate, seed)`. */
   def fit(ds: Dataset[SeriesRecord], n: Int, l: Int = 16, alpha: Int = 256,
           maxCoeff: Int = 32, sampleRate: Double = 0.01, seed: Long = 42,
           binning: Sfa.Binning = Sfa.EquiWidth,
           selection: Sfa.Selection = Sfa.ByVariance): Sfa.Model =
-    Sfa.modelFromStats(fitStats(ds, n, maxCoeff, sampleRate, seed), l, alpha, binning, selection)
+    Sfa.fit(sample(ds, sampleRate, seed), n, l, alpha, maxCoeff, binning, selection)
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-/** Full-spectrum DFTs that tests check `Dft.Partial` and the Parseval
+/** Full-spectrum DFTs that tests check `Dft.Selected` and the Parseval
   * weights against. Same convention as `Dft`: coefficients scaled by
   * 1/sqrt(n), interleaved [re0, im0, re1, im1, ...].
   */

@@ -115,22 +115,31 @@ class DftSpec extends AnyFunSuite {
     }
   }
 
-  test("Partial transform matches the prefix of the full transform") {
+  test("Selected transform matches the full transform at unordered value indices") {
     val r = TestData.rng(26)
-    for (n <- Seq(32, 96, 256)) {
-      val m = math.min(20, Dft.halfSpectrumSize(n))
-      val partial = new Dft.Partial(n, m)
+    for (n <- Seq(32, 96, 100, 256)) {
+      // Re and Im parts out of order, the Nyquist Re (vi = n), DC, and a few
+      // random indices of the half spectrum
+      val idx = Array(n, 7, 2, 3, n / 2 + 1, 0, n - 1) ++ Array.fill(6)(r.nextInt(n + 1))
+      val dft = new Dft.Selected(n, idx)
       val xf = Array.fill(n)(r.nextGaussian().toFloat)
-      val got = partial.transform(xf)
-      val want = DftReference.full(xf.map(_.toDouble)).take(2 * m)
-      got.zip(want).foreach { case (a, b) => assert(math.abs(a - b) < 1e-6) }
+      val got = dft.transform(xf)
+      val want = DftReference.full(xf.map(_.toDouble))
+      assert(got.length == idx.length)
+      idx.indices.foreach(j => assert(math.abs(got(j) - want(idx(j))) < 1e-6, s"n=$n vi=${idx(j)}"))
+      // each value depends only on its own index, so reordering the indices
+      // reorders the same bits
+      val rev = new Dft.Selected(n, idx.reverse).transform(xf)
+      assert(rev.sameElements(got.reverse))
     }
   }
 
-  test("Partial rejects wrong input length and out-of-range m") {
-    val p = new Dft.Partial(16, 4)
-    intercept[IllegalArgumentException](p.transform(new Array[Float](15)))
-    intercept[IllegalArgumentException](new Dft.Partial(16, 10))
+  test("Selected rejects a wrong input length and an out-of-range value index") {
+    val d = new Dft.Selected(16, Array(2, 16))
+    intercept[IllegalArgumentException](d.transform(new Array[Float](15)))
+    intercept[IllegalArgumentException](new Dft.Selected(16, Array(2, 18)))
+    intercept[IllegalArgumentException](new Dft.Selected(16, Array(-1)))
+    intercept[IllegalArgumentException](new Dft.Selected(17, Array(18)))
   }
 
   test("valueWeight: DC and Nyquist singletons, zero imaginary parts") {

@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.{SparkSpec, TestData}
-import repro.core.{Series, SeriesRecord, Sfa}
+import repro.core.{Dft, Series, SeriesRecord, Sfa}
 
 class McbSparkSpec extends SparkSpec {
 
@@ -11,28 +11,20 @@ class McbSparkSpec extends SparkSpec {
     (data, spark.createDataset(data.map { case (id, v) => SeriesRecord(id, v) }.toIndexedSeq))
   }
 
-  test("distributed stats match the local fit on the full dataset") {
-    val n = 64
-    val (data, ds) = makeDs(220, 300, n)
-    val distStats = McbSpark.fitStats(ds, n, maxCoeff = 16, sampleRate = 1.0, seed = 1)
-    val localStats = Sfa.fitStats(data.map(d => Series.znorm(d._2)), n, maxCoeff = 16)
-    assert(distStats.cols.map(_.vi).sameElements(localStats.cols.map(_.vi)))
-    distStats.cols.zip(localStats.cols).foreach { case (d, l) =>
-      assert(math.abs(d.variance - l.variance) < 1e-6 * math.max(1.0, l.variance), s"vi=${d.vi}")
-      assert(math.abs(d.min - l.min) < 1e-9)
-      assert(math.abs(d.max - l.max) < 1e-9)
-      // approximate quantiles: within the value range and monotone
-      d.quantiles.sliding(2).foreach(w => assert(w(0) <= w(1)))
-      assert(d.quantiles.head >= d.min - 1e-9 && d.quantiles.last <= d.max + 1e-9)
-    }
-  }
-
   test("distributed fit selects the same value indices as the local fit") {
     val n = 64
     val (data, ds) = makeDs(221, 300, n)
     val dist = McbSpark.fit(ds, n, l = 8, alpha = 16, sampleRate = 1.0)
     val local = Sfa.fit(data.map(d => Series.znorm(d._2)), n, l = 8, alpha = 16)
-    assert(dist.bestIdx.sorted.sameElements(local.bestIdx.sorted))
+    assert(dist.bestIdx.sameElements(local.bestIdx))
+    assert(dist.breakpoints.length == local.breakpoints.length)
+    dist.breakpoints.zip(local.breakpoints).foreach { case (d, l) => assert(d.sameElements(l)) }
+  }
+
+  test("McbSpark.fit runs exactly one Spark job on a non-empty sample") {
+    val n = 64
+    val (_, ds) = makeDs(227, 300, n)
+    assert(jobsRun(McbSpark.fit(ds, n, l = 8, alpha = 16, sampleRate = 0.5)) == 1)
   }
 
   test("sampling fallback: tiny datasets with tiny rates still fit") {
@@ -41,6 +33,13 @@ class McbSparkSpec extends SparkSpec {
     val model = McbSpark.fit(ds, n, l = 4, alpha = 8, sampleRate = 0.001)
     assert(model.bestIdx.length == 4)
     model.breakpoints.foreach(bp => assert(bp.length == 7))
+  }
+
+  test("EngineFactory.sofa rejects an empty dataset on the driver at the MCB sample") {
+    import spark.implicits._
+    val e = intercept[IllegalArgumentException](
+      EngineFactory.sofa(spark.emptyDataset[SeriesRecord], 64, IndexConfig(partitions = 2)))
+    assert(e.getMessage.contains("MCB sample must be non-empty"), e.getMessage)
   }
 
   test("fitted model produces valid lower bounds on out-of-sample pairs") {
@@ -56,26 +55,20 @@ class McbSparkSpec extends SparkSpec {
     }
   }
 
-  test("equi-depth via percentile_approx yields usable bins") {
-    val n = 64
-    val (_, ds) = makeDs(225, 400, n)
-    val model = McbSpark.fit(ds, n, l = 4, alpha = 8, sampleRate = 1.0, binning = Sfa.EquiDepth)
-    model.breakpoints.foreach { bp =>
-      bp.sliding(2).foreach(w => assert(w(0) <= w(1)))
-    }
-  }
-
   test("variance aggregate cross-checked against the DuckDB oracle") {
     import spark.implicits._
-    // Cross-check Catalyst's var_pop (used by McbSpark) against DuckDB on a
-    // small numeric table.
-    val vals = TestData.rng(226).doubles(200).toArray.toIndexedSeq
-    val df = vals.zipWithIndex.map { case (v, i) => (i % 4, v) }.toDF("g", "v")
-    val agg = df.groupBy("g").agg(
-      org.apache.spark.sql.functions.round(org.apache.spark.sql.functions.var_pop($"v"), 6).as("vp"))
+    // Sfa.fitStats's variance of every candidate value against DuckDB's
+    // VAR_POP over the same DFT values.
+    val n = 64
+    val sample = TestData.dataset(226, 200, n).map(d => Series.znorm(d._2))
+    val stats = Sfa.fitStats(sample, n, maxCoeff = 16)
+    val cand = stats.cols.map(_.vi)
+    val dft = new Dft.Selected(n, cand)
+    val vals = sample.toSeq.flatMap(x => cand.zip(dft.transform(x))).toDF("vi", "v")
+    val fitted = stats.cols.toSeq.map(c => (c.vi, c.variance)).toDF("vi", "vp")
     repro.Oracle.assertEquivalent(
-      agg,
-      "SELECT CAST(g AS INT) AS g, ROUND(VAR_POP(CAST(v AS DOUBLE)), 6) AS vp FROM t GROUP BY g",
-      "t" -> df)
+      fitted,
+      "SELECT CAST(vi AS INT) AS vi, VAR_POP(CAST(v AS DOUBLE)) AS vp FROM t GROUP BY vi",
+      "t" -> vals)
   }
 }
