@@ -74,6 +74,7 @@ object FaissFlat {
           var r = 0
           while (r < buf.length) {
             val z = buf(r)._2
+            Built.requireLength(buf(r)._1, z.length, dim)
             System.arraycopy(z, 0, flat, r * dim, dim)
             var acc = 0.0
             var j = 0
@@ -86,7 +87,7 @@ object FaissFlat {
       }
       .persist(StorageLevel.MEMORY_ONLY)
     // materializes the store and records the series length for `validate`
-    val n = store.map(_.dim).fold(0)(math.max)
+    val n = Built.storedLength(store)(slab => Some(slab.dim))
     new FaissFlat(store, n)
   }
 }

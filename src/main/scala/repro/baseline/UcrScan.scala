@@ -54,11 +54,12 @@ object UcrScan {
       .repartition(partitions)
       .mapPartitions { it =>
         val buf = it.toArray
+        buf.foreach { case (id, z) => Built.requireLength(id, z.length, buf(0)._2.length) }
         Iterator.single((buf.map(_._1), buf.map(_._2)))
       }
       .persist(StorageLevel.MEMORY_ONLY)
     // materializes the store and records the series length for `validate`
-    val n = store.map { case (_, zs) => zs.headOption.fold(0)(_.length) }.fold(0)(math.max)
+    val n = Built.storedLength(store) { case (_, zs) => zs.headOption.map(_.length) }
     new UcrScan(store, n)
   }
 }

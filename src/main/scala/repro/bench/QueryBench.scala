@@ -59,9 +59,12 @@ object QueryBench {
     }
   }
 
-  /** All four engines on one dataset at one parallelism level. */
+  /** `engines` on one dataset at one parallelism level, built once and warmed
+    * once at the first k, then timed and cross-checked at each k in `ks`.
+    * UCR-P runs only at k = 1, as in the paper.
+    */
   def runDataset(spark: SparkSession, spec: DatasetSpec, partitions: Int,
-                 nQueries: Int, k: Int, cfg0: IndexConfig,
+                 nQueries: Int, ks: Seq[Int], cfg0: IndexConfig,
                  engines: Seq[String] = Seq("UCR-P", "FAISS", "MESSI", "SOFA")): Seq[Run] = {
     val cfg = cfg0.copy(partitions = partitions, seed = spec.seed)
     val (ds, queries) = Benchmark17.load(spark, spec, nQueries)
@@ -73,14 +76,20 @@ object QueryBench {
       case other   => throw new IllegalArgumentException(s"unknown engine $other")
     }
     try {
-      val runs = built.map { b =>
-        warmUp(b, queries, k)
-        timedRun(b, spec, partitions, queries, k)
+      built.foreach(warmUp(_, queries, ks.head))
+      ks.flatMap { k =>
+        val runs = built.filter(b => k == 1 || b.name != "UCR-P")
+          .map(timedRun(_, spec, partitions, queries, k))
+        crossCheck(runs)
+        runs
       }
-      crossCheck(runs)
-      runs
     } finally built.foreach(_.close())
   }
+
+  /** `runDataset` at one k with all four engines. */
+  def runDataset(spark: SparkSession, spec: DatasetSpec, partitions: Int,
+                 nQueries: Int, k: Int, cfg0: IndexConfig): Seq[Run] =
+    runDataset(spark, spec, partitions, nQueries, Seq(k), cfg0)
 
   /** Table II: per-engine mean/median 1-NN times pooled over the suite, for
     * each parallelism level.
@@ -90,7 +99,7 @@ object QueryBench {
     val all = for {
       p <- partitionsList
       spec <- specs
-      run <- runDataset(spark, spec, p, nQueries, k = 1, cfg)
+      run <- runDataset(spark, spec, p, nQueries, Seq(1), cfg)
     } yield run
     all.groupBy(r => (r.engine, r.partitions))
   }
@@ -112,28 +121,8 @@ object QueryBench {
     * beyond 1-NN).
     */
   def table3(spark: SparkSession, specs: Seq[DatasetSpec], partitions: Int,
-             nQueries: Int, ks: Seq[Int], cfg0: IndexConfig): Map[(String, Int), Seq[Run]] = {
-    val all = specs.flatMap { spec =>
-      val cfg = cfg0.copy(partitions = partitions, seed = spec.seed)
-      val (ds, queries) = Benchmark17.load(spark, spec, nQueries)
-      val built = Seq(
-        EngineFactory.ucr(ds, partitions),
-        EngineFactory.faiss(ds, partitions),
-        EngineFactory.messi(ds, spec.len, cfg),
-        EngineFactory.sofa(ds, spec.len, cfg),
-      )
-      try {
-        built.foreach(warmUp(_, queries, ks.head))
-        ks.flatMap { k =>
-          val runs = built.filter(b => k == 1 || b.name != "UCR-P")
-            .map(timedRun(_, spec, partitions, queries, k))
-          crossCheck(runs)
-          runs
-        }
-      } finally built.foreach(_.close())
-    }
-    all.groupBy(r => (r.engine, r.k))
-  }
+             nQueries: Int, ks: Seq[Int], cfg: IndexConfig): Map[(String, Int), Seq[Run]] =
+    specs.flatMap(runDataset(spark, _, partitions, nQueries, ks, cfg)).groupBy(r => (r.engine, r.k))
 
   def formatTable3(grouped: Map[(String, Int), Seq[Run]], ks: Seq[Int]): String = {
     val sb = new StringBuilder
@@ -158,7 +147,7 @@ object QueryBench {
     val all = for {
       r <- rates
       spec <- specs
-      run <- runDataset(spark, spec, partitions, nQueries, k = 1,
+      run <- runDataset(spark, spec, partitions, nQueries, Seq(1),
                         cfg.copy(sampleRate = r), engines = Seq("SOFA"))
     } yield (r, run)
     all.groupBy(_._1).map { case (r, xs) => r -> xs.map(_._2) }

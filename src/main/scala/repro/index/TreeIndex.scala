@@ -9,13 +9,16 @@ import scala.collection.mutable
   * SOFA's index.
   *
   * Structure (paper IV-B):
-  *  - the *root* hashes 1-bit-per-dimension words to subtrees (up to 2^l
-  *    children; only populated ones exist);
+  *  - the *root* is a single node at cardinality 0 in every dimension (one
+  *    subtree, not MESSI's hash of 1-bit words; see DESIGN.md §5);
   *  - *inner* nodes have two children obtained by raising the cardinality of
   *    one dimension by one bit;
-  *  - *leaves* store up to `leafCapacity` (series-ref, word) entries; a full
-  *    leaf splits on the dimension whose next bit distributes its entries most
-  *    evenly (the balanced-split heuristic of iSAX2.0/MESSI).
+  *  - *leaves* hold up to `leafCapacity` series; a node with more splits on
+  *    the dimension whose next bit distributes its first `leafCapacity + 1`
+  *    series (in input order) most evenly, the lowest such dimension on ties
+  *    (the balanced-split heuristic of iSAX2.0/MESSI, evaluated on the series
+  *    a leaf filled one insertion at a time holds when it overflows). A node
+  *    whose every dimension is at full cardinality stays an overflow leaf.
   *
   * Query answering (paper IV-C) is the GEMINI exact algorithm: an approximate
   * descent seeds the best-so-far (BSF), then leaves are processed from a
@@ -24,176 +27,26 @@ import scala.collection.mutable
   * and early-abandoning real distances prune the rest. All distances are
   * squared internally; results are ordered by (distance, id).
   *
-  * One instance indexes one Spark partition's series; instances are built
-  * single-threaded inside `mapPartitions`. The end of `build` freezes the
-  * tree: series, words and ids move into three flat arrays in leaf order, and
-  * each leaf keeps a slot range into them. A frozen tree is immutable.
+  * One instance indexes one Spark partition's series and is built in one
+  * top-down pass inside `mapPartitions`. Series, words and ids are stored in
+  * three flat arrays in leaf order, and each leaf is a slot range into them.
+  * The tree is immutable.
+  *
+  * Slot `e` holds the z-normalized series `values(e * n until (e + 1) * n)`,
+  * its word as unsigned bytes `symbols(e * l until (e + 1) * l)` and its
+  * external id `ids(e)`. `root` is `None` only for an empty tree.
   */
 final class TreeIndex private (
     val space: QuantizedWordSpace,
     val leafCapacity: Int,
-    val rootBits: Int,
+    values: Array[Float],
+    symbols: Array[Byte],
+    ids: Array[Long],
+    root: Option[TreeIndex.Node],
 ) extends Serializable {
-  require(rootBits >= 0 && rootBits <= space.maxBits, s"rootBits=$rootBits out of range")
-  require(rootBits.toLong * space.l <= 62, "root key must fit in a Long")
-
-  // Build-time buffers, positionally aligned by insertion index. `freeze`
-  // copies them into the columnar layout below and releases them.
-  private var pendingSeries = mutable.ArrayBuffer.empty[Array[Float]]
-  private var pendingIds    = mutable.ArrayBuffer.empty[Long]
-  private var pendingWords  = mutable.ArrayBuffer.empty[Array[Int]]
-
-  // Frozen columnar layout in leaf order: slot `e` holds the z-normalized
-  // series `values(e * n until (e + 1) * n)`, its word as unsigned bytes
-  // `symbols(e * l until (e + 1) * l)` and its external id `ids(e)`.
-  private var values: Array[Float] = _
-  private var symbols: Array[Byte] = _
-  private var ids: Array[Long] = _
-
-  sealed trait Node extends Serializable {
-    def prefix: Array[Int]
-    def bits: Array[Int]
-  }
-  final class Inner(val prefix: Array[Int], val bits: Array[Int], val splitDim: Int,
-                    var left: Node, var right: Node) extends Node
-  final class Leaf(val prefix: Array[Int], val bits: Array[Int]) extends Node {
-    private[TreeIndex] var pending = mutable.ArrayBuffer.empty[Int] // build-time insertion indices
-    private[TreeIndex] var from = 0
-    private[TreeIndex] var until = 0
-
-    /** This leaf's slots in the frozen layout. */
-    def entries: Range = from until until
-  }
-
-  /** Root children keyed by the packed 1-bit word (bit j = top bit of symbol j). */
-  val root = mutable.LongMap.empty[Node]
+  import TreeIndex._
 
   def size: Int = ids.length
-
-  /** Root-child key: the top `rootBits` bits of every symbol, packed. With
-    * rootBits = 0 (the laptop-scale default, see DESIGN.md §5) there is a
-    * single root child and the tree is driven purely by capacity splits; with
-    * rootBits = 1 this is MESSI's hashed root of up-to-2^l children.
-    */
-  private def topBitKey(w: Array[Int]): Long = {
-    if (rootBits == 0) return 0L
-    var key = 0L
-    var j = 0
-    while (j < w.length) {
-      key |= ((w(j) >>> (space.maxBits - rootBits)).toLong & ((1L << rootBits) - 1)) << (j * rootBits)
-      j += 1
-    }
-    key
-  }
-
-  /** Bit of symbol `sym` at depth `depth` (0 = most significant of maxBits). */
-  private def bitAt(sym: Int, depth: Int): Int =
-    (sym >>> (space.maxBits - 1 - depth)) & 1
-
-  /** Insert one (already z-normalized) series. Build-time only. */
-  private def insert(id: Long, z: Array[Float]): Unit = {
-    require(z.length == space.n, s"series $id has length ${z.length}, expected ${space.n}")
-    val idx = pendingSeries.length
-    pendingSeries += z
-    pendingIds += id
-    val w = space.word(z)
-    pendingWords += w
-    val key = topBitKey(w)
-    root.get(key) match {
-      case None =>
-        val prefix = Array.tabulate(space.l)(j => w(j) >>> (space.maxBits - rootBits))
-        val leaf = new Leaf(prefix, Array.fill(space.l)(rootBits))
-        leaf.pending += idx
-        root.update(key, leaf)
-      case Some(node) =>
-        val replacement = insertInto(node, idx, w)
-        if (replacement ne node) root.update(key, replacement)
-    }
-  }
-
-  /** Insert into a subtree; returns the (possibly new) subtree root. */
-  private def insertInto(node: Node, idx: Int, w: Array[Int]): Node = node match {
-    case inner: Inner =>
-      val d = inner.splitDim
-      val bit = bitAt(w(d), inner.bits(d)) // next bit below the inner node's prefix
-      if (bit == 0) {
-        val r = insertInto(inner.left, idx, w); if (r ne inner.left) inner.left = r
-      } else {
-        val r = insertInto(inner.right, idx, w); if (r ne inner.right) inner.right = r
-      }
-      inner
-    case leaf: Leaf =>
-      leaf.pending += idx
-      if (leaf.pending.length > leafCapacity) split(leaf) else leaf
-  }
-
-  /** Split a full leaf: raise the cardinality of the dimension whose next bit
-    * best balances the entries (ties broken by lowest dimension). If every
-    * dimension is at full cardinality the leaf is allowed to overflow.
-    */
-  private def split(leaf: Leaf): Node = {
-    var bestDim = -1
-    var bestImbalance = Int.MaxValue
-    val half = leaf.pending.length / 2
-    var d = 0
-    while (d < space.l) {
-      if (leaf.bits(d) < space.maxBits) {
-        var ones = 0
-        leaf.pending.foreach(e => ones += bitAt(pendingWords(e)(d), leaf.bits(d)))
-        val imbalance = math.abs(ones - half)
-        if (imbalance < bestImbalance) { bestImbalance = imbalance; bestDim = d }
-      }
-      d += 1
-    }
-    if (bestDim < 0) return leaf // all dimensions exhausted: overflow leaf
-
-    def child(bit: Int): Leaf = {
-      val prefix = leaf.prefix.clone()
-      val bits = leaf.bits.clone()
-      prefix(bestDim) = (prefix(bestDim) << 1) | bit
-      bits(bestDim) += 1
-      new Leaf(prefix, bits)
-    }
-    val left = child(0); val right = child(1)
-    leaf.pending.foreach { e =>
-      if (bitAt(pendingWords(e)(bestDim), leaf.bits(bestDim)) == 0) left.pending += e
-      else right.pending += e
-    }
-    val inner = new Inner(leaf.prefix, leaf.bits, bestDim, left, right)
-    // A degenerate split can leave one child overflowing — recurse until the
-    // capacity invariant holds or cardinality is exhausted.
-    if (left.pending.length > leafCapacity) inner.left = split(left)
-    if (right.pending.length > leafCapacity) inner.right = split(right)
-    inner
-  }
-
-  /** Copy the build buffers into the columnar layout in one pass over the
-    * leaves, give every leaf its slot range, and release the buffers, so the
-    * frozen tree holds no per-series objects. Slots keep insertion order
-    * within a leaf.
-    */
-  private def freeze(): Unit = {
-    val n = space.n; val l = space.l
-    val total = pendingSeries.length
-    values = new Array[Float](total * n)
-    symbols = new Array[Byte](total * l)
-    ids = new Array[Long](total)
-    var slot = 0
-    allLeaves.foreach { leaf =>
-      leaf.from = slot
-      leaf.pending.foreach { e =>
-        System.arraycopy(pendingSeries(e), 0, values, slot * n, n)
-        val w = pendingWords(e)
-        var j = 0
-        while (j < l) { symbols(slot * l + j) = w(j).toByte; j += 1 }
-        ids(slot) = pendingIds(e)
-        slot += 1
-      }
-      leaf.until = slot
-      leaf.pending = null
-    }
-    pendingSeries = null; pendingIds = null; pendingWords = null
-  }
 
   // ---------------------------------------------------------------- querying
 
@@ -203,22 +56,19 @@ final class TreeIndex private (
     searchProjected(qz, space.project(qz), k)
   }
 
-  /** The query's own leaf: its root child (or, if the query's root key is
-    * absent, the root child with the smallest node-level LBD), descended by
-    * the query's word bits. `None` only for an empty index.
+  /** The query's own leaf: the root descended by the query's word bits.
+    * `None` only for an empty index.
     */
   private def approxLeaf(qp: Array[Double]): Option[Leaf] = {
     val qWord = space.quantize(qp)
     @annotation.tailrec
     def descend(node: Node): Leaf = node match {
       case inner: Inner =>
-        descend(if (bitAt(qWord(inner.splitDim), inner.bits(inner.splitDim)) == 0) inner.left
-                else inner.right)
+        val d = inner.splitDim
+        descend(if (bitAt(space.maxBits, qWord(d), inner.bits(d)) == 0) inner.left else inner.right)
       case leaf: Leaf => leaf
     }
-    root.get(topBitKey(qWord))
-      .orElse(root.values.minByOption(n => space.nodeLbSq(qp, n.prefix, n.bits)))
-      .map(descend)
+    root.map(descend)
   }
 
   /** Approximate search (paper IV-C first phase, which MESSI runs *once*
@@ -279,12 +129,12 @@ final class TreeIndex private (
     if (seededLeaf ne null) scanLeaf(seededLeaf)
 
     // Phase 2 — exact search: best-first traversal by node-level LBD.
-    val pq = new java.util.PriorityQueue[(Double, Node)](math.max(1, root.size), (a: (Double, Node), b: (Double, Node)) => java.lang.Double.compare(a._1, b._1))
+    val pq = new java.util.PriorityQueue[(Double, Node)]((a: (Double, Node), b: (Double, Node)) => java.lang.Double.compare(a._1, b._1))
     def push(n: Node): Unit = {
       val lb = space.nodeLbSq(qp, n.prefix, n.bits)
       if (lb <= bsfSq) pq.add((lb, n))
     }
-    root.values.foreach(push)
+    root.foreach(push)
     while (!pq.isEmpty) {
       val (lb, node) = pq.poll()
       if (lb > bsfSq) pq.clear() // everything else has a larger LBD: done
@@ -305,7 +155,7 @@ final class TreeIndex private (
       case i: Inner => walk(i.left, depth + 1); walk(i.right, depth + 1)
       case l: Leaf  => leaves += 1; maxDepth = math.max(maxDepth, depth); fill += l.entries.length
     }
-    root.values.foreach(walk(_, 1))
+    root.foreach(walk(_, 1))
     (leaves, maxDepth, if (leaves == 0) 0.0 else fill.toDouble / leaves)
   }
 
@@ -316,7 +166,7 @@ final class TreeIndex private (
       case i: Inner => walk(i.left); walk(i.right)
       case l: Leaf  => buf += l
     }
-    root.values.foreach(walk)
+    root.foreach(walk)
     buf.toSeq
   }
 
@@ -327,15 +177,104 @@ final class TreeIndex private (
 
 object TreeIndex {
 
-  /** Build an index over an iterator of (id, raw series); series are
-    * z-normalized on insertion. Used from `mapPartitions`.
+  sealed trait Node extends Serializable {
+    def prefix: Array[Int]
+    def bits: Array[Int]
+  }
+  final class Inner(val prefix: Array[Int], val bits: Array[Int], val splitDim: Int,
+                    val left: Node, val right: Node) extends Node
+  final class Leaf(val prefix: Array[Int], val bits: Array[Int],
+                   private[index] val from: Int, private[index] val until: Int) extends Node {
+    /** This leaf's slots. */
+    def entries: Range = from until until
+  }
+
+  /** Bit of symbol `sym` at depth `depth` (0 = most significant of maxBits). */
+  private def bitAt(maxBits: Int, sym: Int, depth: Int): Int =
+    (sym >>> (maxBits - 1 - depth)) & 1
+
+  /** Build an index over an iterator of (id, raw series) in one pass: read
+    * and z-normalize every series, split nodes top-down over one array of
+    * input indices, then gather the series into leaf order. Used from
+    * `mapPartitions`.
     */
   def build(space: QuantizedWordSpace, leafCapacity: Int,
-            it: Iterator[(Long, Array[Float])], rootBits: Int = 0): TreeIndex = {
+            it: Iterator[(Long, Array[Float])]): TreeIndex = {
     require(leafCapacity >= 1, s"leafCapacity must be >= 1, got $leafCapacity")
-    val t = new TreeIndex(space, leafCapacity, rootBits)
-    it.foreach { case (id, raw) => t.insert(id, Series.znorm(raw)) }
-    t.freeze()
-    t
+    val n = space.n; val l = space.l; val maxBits = space.maxBits
+    val zs = mutable.ArrayBuffer.empty[Array[Float]]
+    val inIds = mutable.ArrayBuilder.make[Long]
+    val inWords = mutable.ArrayBuilder.make[Byte] // l unsigned symbols per series
+    it.foreach { case (id, raw) =>
+      require(raw.length == n, s"series $id has length ${raw.length}, expected $n")
+      val z = Series.znorm(raw)
+      zs += z
+      inIds += id
+      space.word(z).foreach(s => inWords += s.toByte)
+    }
+    val total = zs.length
+    val words = inWords.result()
+    // order(from until until) holds a node's input indices in input order:
+    // each split partitions its range stably in place, so every leaf ends as
+    // one contiguous range and depth-first order is slot order.
+    val order = Array.range(0, total)
+    val ones = new Array[Int](total)
+    def bit(e: Int, d: Int, bits: Array[Int]): Int = bitAt(maxBits, words(e * l + d) & 0xFF, bits(d))
+
+    /** The split dimension of the node over `order(from until until)`, or -1
+      * when every dimension is at full cardinality.
+      */
+    def splitDim(from: Int, bits: Array[Int]): Int = {
+      val half = (leafCapacity + 1) / 2
+      var bestDim = -1
+      var bestImbalance = Int.MaxValue
+      var d = 0
+      while (d < l) {
+        if (bits(d) < maxBits) {
+          var cnt = 0
+          var i = from
+          while (i <= from + leafCapacity) { cnt += bit(order(i), d, bits); i += 1 }
+          val imbalance = math.abs(cnt - half)
+          if (imbalance < bestImbalance) { bestImbalance = imbalance; bestDim = d }
+        }
+        d += 1
+      }
+      bestDim
+    }
+
+    def node(from: Int, until: Int, prefix: Array[Int], bits: Array[Int]): Node = {
+      val d = if (until - from > leafCapacity) splitDim(from, bits) else -1
+      if (d < 0) new Leaf(prefix, bits, from, until)
+      else {
+        var zeros = from; var nOnes = 0
+        var i = from
+        while (i < until) {
+          val e = order(i)
+          if (bit(e, d, bits) == 0) { order(zeros) = e; zeros += 1 }
+          else { ones(nOnes) = e; nOnes += 1 }
+          i += 1
+        }
+        System.arraycopy(ones, 0, order, zeros, nOnes)
+        def child(b: Int, cFrom: Int, cUntil: Int): Node = {
+          val p = prefix.clone(); p(d) = (p(d) << 1) | b
+          val bs = bits.clone(); bs(d) += 1
+          node(cFrom, cUntil, p, bs)
+        }
+        new Inner(prefix, bits, d, child(0, from, zeros), child(1, zeros, until))
+      }
+    }
+
+    val root = if (total == 0) None else Some(node(0, total, new Array[Int](l), new Array[Int](l)))
+    val values = new Array[Float](total * n)
+    val symbols = new Array[Byte](total * l)
+    var slot = 0
+    while (slot < total) {
+      val e = order(slot)
+      System.arraycopy(zs(e), 0, values, slot * n, n)
+      System.arraycopy(words, e * l, symbols, slot * l, l)
+      slot += 1
+    }
+    val inputIds = inIds.result()
+    new TreeIndex(space, leafCapacity, values, symbols, order.map(inputIds(_)), root)
   }
 }

@@ -42,6 +42,23 @@ object Built {
     }
   }
 
+  /** Reject, inside a build task, a series whose length differs from `n`,
+    * the length of the first series of its partition.
+    */
+  def requireLength(id: Long, length: Int, n: Int): Unit =
+    require(length == n, s"series $id has length $length, the first series of its partition has length $n")
+
+  /** Materialize a persisted store in one job and return the series length
+    * of its non-empty partitions, or 0 if there are none. Partitions of
+    * different lengths are rejected on the driver.
+    */
+  def storedLength[P](store: RDD[P])(lengthOf: P => Option[Int]): Int = {
+    val (lo, hi) = store.flatMap(p => lengthOf(p).map(n => (n, n)))
+      .fold((Int.MaxValue, 0)) { case ((a, b), (c, d)) => (math.min(a, c), math.max(b, d)) }
+    require(hi == 0 || lo == hi, s"partitions hold series of different lengths, from $lo to $hi")
+    hi
+  }
+
   /** Answer every prepared query in every partition in one Spark job and
     * return each query's merged global top-k. An empty batch runs no job.
     * `answer` must not capture the engine, only what the task needs.

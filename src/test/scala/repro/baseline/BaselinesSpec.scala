@@ -1,7 +1,10 @@
 package repro.baseline
 
+import org.apache.spark.SparkException
+import org.apache.spark.sql.Dataset
 import repro.{SparkSpec, TestData}
 import repro.core.SeriesRecord
+import repro.spark.Built
 
 class BaselinesSpec extends SparkSpec {
 
@@ -152,5 +155,25 @@ class BaselinesSpec extends SparkSpec {
         }
       }
     } finally engines.foreach(_.close())
+  }
+
+  test("series of the wrong length are rejected at build — UCR-P and FAISS") {
+    val builds = Seq[(Dataset[SeriesRecord], Int) => Built](UcrScan.build, FaissFlat.build)
+    // one partition holding a longer and a shorter series: rejected in the task
+    val mixed = TestData.dataset(259, 20, 64) ++
+      Seq(77L -> TestData.mixedSeries(TestData.rng(260), 65), 78L -> TestData.mixedSeries(TestData.rng(261), 63))
+    val lengthOf = mixed.map { case (id, v) => id -> v.length }.toMap
+    val named = """series (\d+) has length (\d+), the first series of its partition has length (\d+)""".r
+    // alternating lengths in one input partition: repartition deals them out
+    // round-robin, so each of two partitions holds one length
+    val alternating = Array.tabulate(6)(i => (i.toLong, TestData.mixedSeries(TestData.rng(262 + i), 64 + i % 2)))
+    builds.foreach { build =>
+      val err = intercept[SparkException](build(toDs(mixed), 1))
+      val m = named.findFirstMatchIn(err.getMessage)
+      assert(m.exists(m => lengthOf(m.group(1).toLong) == m.group(2).toInt && m.group(2) != m.group(3)),
+        err.getMessage)
+      val split = intercept[IllegalArgumentException](build(toDs(alternating).coalesce(1), 2))
+      assert(split.getMessage.contains("from 64 to 65"), split.getMessage)
+    }
   }
 }

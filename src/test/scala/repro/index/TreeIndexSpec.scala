@@ -47,7 +47,7 @@ class TreeIndexSpec extends AnyFunSuite {
     }
   }
 
-  test("leaf cardinalities are between rootBits and maxBits per dimension") {
+  test("leaf cardinalities are between 0 and maxBits per dimension") {
     val (_, t) = buildIsax(103, 400, 64, leafCap = 4)
     t.allLeaves.foreach { leaf =>
       leaf.bits.foreach(b => assert(b >= 0 && b <= t.space.maxBits))
@@ -119,6 +119,8 @@ class TreeIndexSpec extends AnyFunSuite {
   test("empty index returns empty results") {
     val t = TreeIndex.build(isaxSpace(64), 8, Iterator.empty)
     assert(t.search(TestData.mixedSeries(TestData.rng(135), 64), 1).isEmpty)
+    assert(t.structureStats == ((0, 0, 0.0)))
+    assert(t.allLeaves.isEmpty)
   }
 
   test("k = 0 returns empty") {
@@ -135,11 +137,41 @@ class TreeIndexSpec extends AnyFunSuite {
 
   test("duplicate series are all indexed and returned") {
     val base = TestData.mixedSeries(TestData.rng(140), 64)
-    val data = Array.tabulate(10)(i => (i.toLong, base.clone()))
+    val copies = Array.tabulate(10)(i => (i.toLong, base.clone()))
+    // constant series z-normalize to all zeros, so they share one word too
+    val constants = Array.tabulate(6)(i => ((10 + i).toLong, Array.fill(64)(i - 2.5f)))
+    val data = (copies ++ constants).reverse // not in id order
     val t = TreeIndex.build(isaxSpace(64), 4, data.iterator)
+    val maxBits = t.space.maxBits
+    for (group <- Seq(copies, constants)) {
+      val ids = group.map(_._1).toSet
+      val leaves = t.allLeaves.filter(_.entries.exists(e => ids(t.idOf(e))))
+      assert(leaves.size == 1)
+      assert(leaves.head.entries.map(t.idOf).toSet == ids)
+      assert(leaves.head.bits.forall(_ == maxBits)) // an overflow leaf
+    }
+    assert(t.structureStats._2 == t.space.l * maxBits + 1)
     val res = t.search(base, 10)
-    assert(res.length == 10)
+    assert(res.map(_._1).toSeq == copies.map(_._1).toSeq)
     res.foreach { case (_, d) => assert(d < 1e-5) }
+  }
+
+  test("a node splits on the dimension chosen over its first leafCapacity + 1 series") {
+    // n = l = 4 and alpha = 2: each symbol is the sign of one value. Over the
+    // first three series, dimension 1 is balanced and dimension 0 is not; over
+    // all four, both are balanced and dimension 0 would win the tie.
+    val signs = Seq(
+      1L -> Array(1f, 1f, 1f, -1f),
+      2L -> Array(1f, -1f, 1f, -1f),
+      3L -> Array(-1f, -1f, 1f, -1f),
+      4L -> Array(-1f, 1f, 1f, -1f),
+    )
+    val t = TreeIndex.build(Isax.space(4, 4, 2), 2, signs.iterator)
+    val leaves = t.allLeaves.map(leaf => (leaf.bits.toSeq, leaf.prefix.toSeq, leaf.entries, leaf.entries.map(t.idOf)))
+    assert(leaves == Seq(
+      (Seq(0, 1, 0, 0), Seq(0, 0, 0, 0), 0 until 2, Seq(2L, 3L)),
+      (Seq(0, 1, 0, 0), Seq(0, 1, 0, 0), 2 until 4, Seq(1L, 4L)),
+    ))
   }
 
   test("results are deterministic across repeated searches") {
@@ -170,48 +202,10 @@ class TreeIndexSpec extends AnyFunSuite {
     }
   }
 
-  test("MESSI hashed-root mode (rootBits = 1) is also exact and structurally valid") {
-    val n = 64
-    val data = TestData.dataset(150, 500, n)
-    val t = TreeIndex.build(isaxSpace(n), 16, data.iterator, rootBits = 1)
-    assert(t.root.size > 1) // hashed root actually fans out
-    t.allLeaves.foreach { leaf =>
-      leaf.bits.foreach(b => assert(b >= 1 && b <= t.space.maxBits))
-      leaf.entries.foreach { e =>
-        val w = t.wordOf(e)
-        for (j <- w.indices)
-          assert((w(j) >>> (t.space.maxBits - leaf.bits(j))) == leaf.prefix(j))
-      }
-    }
-    val r = TestData.rng(151)
-    for (_ <- 1 to 10) {
-      val q = TestData.mixedSeries(r, n)
-      TestData.assertSameKnn(t.search(q, 3), TestData.bruteKnn(data.toIndexedSeq, q, 3))
-    }
-  }
-
-  test("rootBits = 0 (single subtree) and rootBits = 1 return identical distances") {
-    val n = 64
-    val data = TestData.dataset(152, 400, n)
-    val t0 = TreeIndex.build(isaxSpace(n), 16, data.iterator, rootBits = 0)
-    val t1 = TreeIndex.build(isaxSpace(n), 16, data.iterator, rootBits = 1)
-    val r = TestData.rng(153)
-    for (_ <- 1 to 10) {
-      val q = TestData.mixedSeries(r, n)
-      TestData.assertSameKnn(t0.search(q, 5), t1.search(q, 5))
-    }
-  }
-
   test("a series of the wrong length is rejected with its id and both lengths") {
     val data = TestData.dataset(154, 5, 64) :+ (77L, new Array[Float](63))
     val e = intercept[IllegalArgumentException](TreeIndex.build(isaxSpace(64), 8, data.iterator))
     assert(e.getMessage.contains("77") && e.getMessage.contains("63") && e.getMessage.contains("64"))
-  }
-
-  test("rootBits validation") {
-    intercept[IllegalArgumentException] {
-      TreeIndex.build(isaxSpace(64), 8, Iterator.empty, rootBits = 9)
-    }
   }
 
   test("exactness with SFA equi-depth binning") {
