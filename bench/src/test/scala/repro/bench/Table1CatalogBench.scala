@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.Benchmark17
 
 /** Table I analog: prints the benchmark catalog (paper counts next to the
   * reproduction's scaled counts) and validates its totals.
@@ -9,7 +8,7 @@ import repro.data.Benchmark17
 class Table1CatalogBench extends AnyFunSuite {
 
   test("Table I: benchmark catalog") {
-    val specs = Benchmark17.catalog.map(_.scaled(Bench.scale))
+    val specs = QueryBench.catalog(Bench.scale)
     val table = QueryBench.formatTable1(specs)
     println(table)
     assert(specs.size == 17)

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Benchmark17
 
 /** Table II analog: mean/median 1-NN query times over the 17 datasets for
   * UCR-P / FAISS / MESSI / SOFA at parallelism {4, 8, 16} partitions (the
@@ -11,10 +10,8 @@ import repro.data.Benchmark17
 class Table2QueryTimesBench extends SparkSpec {
 
   test("Table II: 1-NN query times, mixed workload") {
-    val specs = Benchmark17.catalog.map(_.scaled(Bench.scale))
-    val partitionsList = Seq(4, 8, 16)
-    val grouped = QueryBench.table2(spark, specs, partitionsList, Bench.nQueries, Bench.cfg)
-    println(QueryBench.formatTable2(grouped, partitionsList))
+    val grouped = QueryBench.table2(spark, Bench.scale, Bench.nQueries)
+    println(QueryBench.formatTable2(grouped))
 
     // paper's headline shapes (medians are robust to the vector datasets,
     // where scans win at this scale — as FAISS does in the paper):

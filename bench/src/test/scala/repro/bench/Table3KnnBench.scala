@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Benchmark17
 
 /** Table III analog: median k-NN query times for k in {1,3,5,10,20,50} at the
   * maximum parallelism level (16 partitions ~ the paper's 36 cores). UCR-P is
@@ -10,10 +9,8 @@ import repro.data.Benchmark17
 class Table3KnnBench extends SparkSpec {
 
   test("Table III: k-NN query times at 16 partitions") {
-    val specs = Benchmark17.catalog.map(_.scaled(Bench.scale))
-    val ks = Seq(1, 3, 5, 10, 20, 50)
-    val grouped = QueryBench.table3(spark, specs, 16, Bench.nQueries, ks, Bench.cfg)
-    println(QueryBench.formatTable3(grouped, ks))
+    val grouped = QueryBench.table3(spark, Bench.scale, Bench.nQueries)
+    println(QueryBench.formatTable3(grouped))
 
     // all methods scale gracefully in k (paper: "all methods scale efficiently")
     for (m <- Seq("FAISS", "MESSI", "SOFA")) {

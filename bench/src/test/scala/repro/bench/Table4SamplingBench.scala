@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Benchmark17
 
 /** Table IV analog: SOFA 1-NN query times at MCB sampling rates
   * {0.1, 0.5, 1, 5, 10, 15, 20} % at 16 partitions.
@@ -9,15 +8,13 @@ import repro.data.Benchmark17
 class Table4SamplingBench extends SparkSpec {
 
   test("Table IV: SOFA query times vs MCB sampling rate") {
-    val specs = Benchmark17.catalog.map(_.scaled(Bench.scale))
-    val rates = Seq(0.001, 0.005, 0.01, 0.05, 0.10, 0.15, 0.20)
-    val grouped = QueryBench.table4(spark, specs, 16, Bench.nQueries, rates, Bench.cfg)
-    println(QueryBench.formatTable4(grouped, rates))
+    val grouped = QueryBench.table4(spark, Bench.scale, Bench.nQueries)
+    println(QueryBench.formatTable4(grouped))
 
     // paper shape: times stabilize around the 1% rate — no rate should be
     // drastically better or worse than the default
     val m1 = QueryBench.mean(grouped(0.01))
-    rates.foreach { r =>
+    QueryBench.SampleRates.foreach { r =>
       val m = QueryBench.mean(grouped(r))
       assert(m > 0)
       assert(m < m1 * 3 && m > m1 / 3, s"rate $r mean $m vs 1% mean $m1 out of band")

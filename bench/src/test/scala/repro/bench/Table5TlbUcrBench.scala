@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Benchmark17
 
 /** Table V analog: mean TLB on the UCR-archive-like suite for SFA equi-depth
   * +VAR, SFA equi-width +VAR, and iSAX, alphabet sizes 4..256, l = 16.
@@ -9,8 +8,8 @@ import repro.data.Benchmark17
 class Table5TlbUcrBench extends SparkSpec {
 
   test("Table V: mean TLB on UCR-like datasets") {
-    val tlb = TlbBench.forSuite(spark, Benchmark17.ucrLike, nQueries = 20)
-    println(TlbBench.formatTable("Table V analog: mean TLB on UCR-like datasets (l=16)", tlb))
+    val tlb = TlbBench.table5(spark)
+    println(TlbBench.formatTable5(tlb))
 
     // paper shape: SFA EW +VAR > iSAX at every alphabet size; improvement is
     // largest at small alphabets

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Benchmark17
 
 /** Table VI analog: mean TLB on the 17 SOFA benchmark datasets (scaled) for
   * SFA equi-depth +VAR, SFA equi-width +VAR, and iSAX, alphabets 4..256.
@@ -9,11 +8,8 @@ import repro.data.Benchmark17
 class Table6TlbSofaBench extends SparkSpec {
 
   test("Table VI: mean TLB on the 17 SOFA datasets") {
-    // quarter-scale datasets keep the pair count manageable; TLB is a mean
-    // over pairs and stabilizes quickly
-    val specs = Benchmark17.catalog.map(_.scaled(Bench.scale * 0.25))
-    val tlb = TlbBench.forSuite(spark, specs, nQueries = 15, sampleRate = 0.25)
-    println(TlbBench.formatTable("Table VI analog: mean TLB on the 17 SOFA datasets (l=16)", tlb))
+    val tlb = TlbBench.table6(spark, Bench.scale)
+    println(TlbBench.formatTable6(tlb))
 
     // paper shape: SFA EW +VAR wins at large alphabets; equi-depth is
     // competitive at small alphabets; iSAX trails at alpha = 256

@@ -12,8 +12,32 @@ import repro.spark.{Built, EngineFactory, IndexConfig}
   * cold-JIT. For every (dataset, k), all engines must return the same k-th
   * nearest distance for every query — the benches double as end-to-end
   * exactness tests.
+  *
+  * Each table's setup is stated once, here; `jobs/Tables` and the `bench/`
+  * suites pass only the scale and the number of queries per dataset.
   */
 object QueryBench {
+
+  /** Paper section V setup, with the leaf size scaled to our dataset sizes
+    * (paper: 20k leaves on up-to-100M-series datasets; here ~100 on
+    * up-to-24k-series datasets — the same leaves-per-worker order).
+    */
+  val Setup: IndexConfig = IndexConfig(leafCapacity = 100)
+
+  /** Table II's parallelism axis: the paper's 9/18/36 cores as partitions.
+    * Tables III and IV run at the largest.
+    */
+  val PartitionsList: Seq[Int] = Seq(4, 8, 16)
+  private val MaxPartitions: Int = PartitionsList.max
+
+  /** Table III's k values. */
+  val Ks: Seq[Int] = Seq(1, 3, 5, 10, 20, 50)
+
+  /** Table IV's MCB sampling rates. */
+  val SampleRates: Seq[Double] = Seq(0.001, 0.005, 0.01, 0.05, 0.10, 0.15, 0.20)
+
+  /** The 17 benchmark datasets with every series count multiplied by `scale`. */
+  def catalog(scale: Double): Seq[DatasetSpec] = Benchmark17.catalog.map(_.scaled(scale))
 
   /** One engine's timed pass; `kthDists(q)` is query q's k-th nearest distance. */
   final case class Run(engine: String, dataset: String, partitions: Int, k: Int,
@@ -86,29 +110,23 @@ object QueryBench {
     } finally built.foreach(_.close())
   }
 
-  /** `runDataset` at one k with all four engines. */
-  def runDataset(spark: SparkSession, spec: DatasetSpec, partitions: Int,
-                 nQueries: Int, k: Int, cfg0: IndexConfig): Seq[Run] =
-    runDataset(spark, spec, partitions, nQueries, Seq(k), cfg0)
-
   /** Table II: per-engine mean/median 1-NN times pooled over the suite, for
     * each parallelism level.
     */
-  def table2(spark: SparkSession, specs: Seq[DatasetSpec], partitionsList: Seq[Int],
-             nQueries: Int, cfg: IndexConfig): Map[(String, Int), Seq[Run]] = {
+  def table2(spark: SparkSession, scale: Double, nQueries: Int): Map[(String, Int), Seq[Run]] = {
     val all = for {
-      p <- partitionsList
-      spec <- specs
-      run <- runDataset(spark, spec, p, nQueries, Seq(1), cfg)
+      p <- PartitionsList
+      spec <- catalog(scale)
+      run <- runDataset(spark, spec, p, nQueries, Seq(1), Setup)
     } yield run
     all.groupBy(r => (r.engine, r.partitions))
   }
 
-  def formatTable2(grouped: Map[(String, Int), Seq[Run]], partitionsList: Seq[Int]): String = {
+  def formatTable2(grouped: Map[(String, Int), Seq[Run]]): String = {
     val sb = new StringBuilder
     sb.append("Table II analog: 1-NN query times in ms (mixed workload)\n")
     sb.append(f"${"Method"}%-8s${"Partitions"}%-12s${"median"}%10s${"mean"}%10s\n")
-    for (m <- Seq("UCR-P", "FAISS", "MESSI", "SOFA"); p <- partitionsList) {
+    for (m <- Seq("UCR-P", "FAISS", "MESSI", "SOFA"); p <- PartitionsList) {
       grouped.get((m, p)).foreach { runs =>
         sb.append(f"$m%-8s$p%-12d${median(runs)}%10.2f${mean(runs)}%10.2f\n")
       }
@@ -120,17 +138,17 @@ object QueryBench {
     * are built once per dataset and queried for every k (the paper omits UCR
     * beyond 1-NN).
     */
-  def table3(spark: SparkSession, specs: Seq[DatasetSpec], partitions: Int,
-             nQueries: Int, ks: Seq[Int], cfg: IndexConfig): Map[(String, Int), Seq[Run]] =
-    specs.flatMap(runDataset(spark, _, partitions, nQueries, ks, cfg)).groupBy(r => (r.engine, r.k))
+  def table3(spark: SparkSession, scale: Double, nQueries: Int): Map[(String, Int), Seq[Run]] =
+    catalog(scale).flatMap(runDataset(spark, _, MaxPartitions, nQueries, Ks, Setup))
+      .groupBy(r => (r.engine, r.k))
 
-  def formatTable3(grouped: Map[(String, Int), Seq[Run]], ks: Seq[Int]): String = {
+  def formatTable3(grouped: Map[(String, Int), Seq[Run]]): String = {
     val sb = new StringBuilder
     sb.append("Table III analog: median k-NN query times in ms\n")
-    sb.append(f"${"Method"}%-8s" + ks.map(k => f"$k%2d-NN" + "   ").mkString).append('\n')
+    sb.append(f"${"Method"}%-8s" + Ks.map(k => f"$k%2d-NN" + "   ").mkString).append('\n')
     for (m <- Seq("UCR-P", "FAISS", "MESSI", "SOFA")) {
       sb.append(f"$m%-8s")
-      ks.foreach { k =>
+      Ks.foreach { k =>
         grouped.get((m, k)) match {
           case Some(runs) => sb.append(f"${median(runs)}%8.2f")
           case None       => sb.append(f"${"-"}%8s")
@@ -142,22 +160,21 @@ object QueryBench {
   }
 
   /** Table IV: SOFA at different MCB sampling rates. */
-  def table4(spark: SparkSession, specs: Seq[DatasetSpec], partitions: Int,
-             nQueries: Int, rates: Seq[Double], cfg: IndexConfig): Map[Double, Seq[Run]] = {
+  def table4(spark: SparkSession, scale: Double, nQueries: Int): Map[Double, Seq[Run]] = {
     val all = for {
-      r <- rates
-      spec <- specs
-      run <- runDataset(spark, spec, partitions, nQueries, Seq(1),
-                        cfg.copy(sampleRate = r), engines = Seq("SOFA"))
+      r <- SampleRates
+      spec <- catalog(scale)
+      run <- runDataset(spark, spec, MaxPartitions, nQueries, Seq(1),
+                        Setup.copy(sampleRate = r), engines = Seq("SOFA"))
     } yield (r, run)
     all.groupBy(_._1).map { case (r, xs) => r -> xs.map(_._2) }
   }
 
-  def formatTable4(grouped: Map[Double, Seq[Run]], rates: Seq[Double]): String = {
+  def formatTable4(grouped: Map[Double, Seq[Run]]): String = {
     val sb = new StringBuilder
     sb.append("Table IV analog: SOFA 1-NN times vs MCB sampling rate\n")
     sb.append(f"${"Sampling"}%-10s${"mean ms"}%10s${"median ms"}%12s\n")
-    rates.foreach { r =>
+    SampleRates.foreach { r =>
       grouped.get(r).foreach { runs =>
         sb.append(f"${r * 100}%7.1f%%  ${mean(runs)}%10.2f${median(runs)}%12.2f\n")
       }

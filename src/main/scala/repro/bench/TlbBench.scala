@@ -2,9 +2,10 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{Isax, QuantizedWordSpace, Series, Sfa}
+import repro.data.Benchmark17
 import repro.data.Benchmark17.DatasetSpec
 import repro.data.SeriesGen
-import repro.spark.McbSpark
+import repro.spark.{IndexConfig, McbSpark}
 
 /** Tightness-of-lower-bound ablation (paper section V-E, Tables V and VI).
   *
@@ -21,17 +22,20 @@ object TlbBench {
   val Alphabets: Seq[Int] = Seq(4, 8, 16, 32, 64, 128, 256)
   val Methods: Seq[String] = Seq("SFA ED +VAR", "SFA EW +VAR", "iSAX")
 
+  /** The engines' fixed word length and candidate coefficients. */
+  private val Paper = IndexConfig()
+
   final case class Config(method: String, alpha: Int, space: QuantizedWordSpace)
     extends Serializable
 
   /** Mean TLB per (method, alphabet) for one dataset. */
-  def forDataset(spark: SparkSession, spec: DatasetSpec, nQueries: Int, l: Int = 16,
+  def forDataset(spark: SparkSession, spec: DatasetSpec, nQueries: Int,
                  sampleRate: Double = 1.0): Map[(String, Int), Double] = {
-    val n = spec.len
+    val (n, l) = (spec.len, Paper.l)
     val ds = SeriesGen.dataset(spark, spec.profile, spec.count, spec.seed)
     val queries = SeriesGen.queries(spec.profile, nQueries, spec.seed)
 
-    val stats = Sfa.fitStats(McbSpark.sample(ds, sampleRate, spec.seed), n, maxCoeff = 32)
+    val stats = Sfa.fitStats(McbSpark.sample(ds, sampleRate, spec.seed), n, Paper.maxCoeff)
     val configs: Seq[Config] = Alphabets.flatMap { a =>
       Seq(
         Config("SFA ED +VAR", a, Sfa.modelFromStats(stats, l, a, Sfa.EquiDepth, Sfa.ByVariance).space),
@@ -89,12 +93,29 @@ object TlbBench {
 
   /** Mean TLB over a suite of datasets: the shape of Tables V / VI. */
   def forSuite(spark: SparkSession, specs: Seq[DatasetSpec], nQueries: Int,
-               l: Int = 16, sampleRate: Double = 1.0): Map[(String, Int), Double] = {
-    val per = specs.map(s => forDataset(spark, s, nQueries, l, sampleRate))
+               sampleRate: Double = 1.0): Map[(String, Int), Double] = {
+    val per = specs.map(s => forDataset(spark, s, nQueries, sampleRate))
     (for (m <- Methods; a <- Alphabets) yield {
       (m, a) -> per.map(_((m, a))).sum / per.size
     }).toMap
   }
+
+  /** Table V: the UCR-like suite, 20 queries per dataset. */
+  def table5(spark: SparkSession): Map[(String, Int), Double] =
+    forSuite(spark, Benchmark17.ucrLike, nQueries = 20)
+
+  def formatTable5(tlb: Map[(String, Int), Double]): String =
+    formatTable(s"Table V analog: mean TLB on UCR-like datasets (l=${Paper.l})", tlb)
+
+  /** Table VI: the 17 SOFA datasets at a quarter of `scale`, 15 queries each,
+    * MCB fitted on a 25 % sample. Quarter-scale datasets keep the pair count
+    * manageable; TLB is a mean over pairs and stabilizes quickly.
+    */
+  def table6(spark: SparkSession, scale: Double): Map[(String, Int), Double] =
+    forSuite(spark, QueryBench.catalog(scale * 0.25), nQueries = 15, sampleRate = 0.25)
+
+  def formatTable6(tlb: Map[(String, Int), Double]): String =
+    formatTable(s"Table VI analog: mean TLB on the 17 SOFA datasets (l=${Paper.l})", tlb)
 
   /** Format as the paper's table: rows = methods, columns = alphabet sizes. */
   def formatTable(title: String, tlb: Map[(String, Int), Double]): String = {

@@ -164,7 +164,8 @@ final class QuantizedWordSpace(
 
   /** Squared lower bound of the plain projection distance (no quantization):
     * sum_j w_j (qp_j - cp_j)^2. For SFA this is the DFT lower bound (Eq. 1);
-    * for iSAX it is the PAA lower bound. Used by tests and the TLB ablation.
+    * for iSAX it is the PAA lower bound. Only tests call it, to check the
+    * quantized bounds against it.
     */
   def projLbSq(qp: Array[Double], cp: Array[Double]): Double = {
     var acc = 0.0

@@ -48,7 +48,7 @@ object DistributedIndex {
 
   /** Build per-partition trees over `ds`. Series are z-normalized inside the
     * partitions; the word space (iSAX breakpoints or a fitted SFA model) ships
-    * in the task closure.
+    * in the task closure. An empty dataset is rejected on the driver.
     */
   def build(name: String, ds: Dataset[SeriesRecord], space: QuantizedWordSpace,
             leafCapacity: Int, partitions: Int): DistributedIndex = {
@@ -57,7 +57,8 @@ object DistributedIndex {
       .repartition(partitions)
       .mapPartitions(it => Iterator.single(TreeIndex.build(space, leafCapacity, it)))
       .persist(StorageLevel.MEMORY_ONLY)
-    trees.count() // materialize the trees before the first query
+    // materializes the trees before the first query, and counts their series
+    Built.requireNonEmpty(trees.map(_.size.toLong).fold(0L)(_ + _) > 0)
     new DistributedIndex(name, space, trees)
   }
 }

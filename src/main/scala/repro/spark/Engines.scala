@@ -48,14 +48,19 @@ object Built {
   def requireLength(id: Long, length: Int, n: Int): Unit =
     require(length == n, s"series $id has length $length, the first series of its partition has length $n")
 
+  /** Reject, on the driver at build, a dataset that holds no series. */
+  def requireNonEmpty(nonEmpty: Boolean): Unit =
+    require(nonEmpty, "the dataset holds no series; an index needs at least one")
+
   /** Materialize a persisted store in one job and return the series length
-    * of its non-empty partitions, or 0 if there are none. Partitions of
-    * different lengths are rejected on the driver.
+    * of its non-empty partitions. An empty store and partitions of different
+    * lengths are rejected on the driver.
     */
   def storedLength[P](store: RDD[P])(lengthOf: P => Option[Int]): Int = {
     val (lo, hi) = store.flatMap(p => lengthOf(p).map(n => (n, n)))
       .fold((Int.MaxValue, 0)) { case ((a, b), (c, d)) => (math.min(a, c), math.max(b, d)) }
-    require(hi == 0 || lo == hi, s"partitions hold series of different lengths, from $lo to $hi")
+    requireNonEmpty(hi > 0)
+    require(lo == hi, s"partitions hold series of different lengths, from $lo to $hi")
     hi
   }
 
@@ -73,16 +78,19 @@ object Built {
 }
 
 /** Shared configuration for the MESSI/SOFA tree engines (paper section V
-  * setup; leaf sizes scaled to our dataset sizes).
+  * setup; leaf sizes scaled to our dataset sizes). Word length, alphabet,
+  * candidate coefficients, binning and selection are the paper's fixed setup;
+  * the TLB ablation sweeps alphabet and binning through `Sfa` directly.
   */
 final case class IndexConfig(
-    l: Int = 16,
-    alpha: Int = 256,
     leafCapacity: Int = 1000,
-    maxCoeff: Int = 32,
     sampleRate: Double = 0.01,
-    binning: Sfa.Binning = Sfa.EquiWidth,
-    selection: Sfa.Selection = Sfa.ByVariance,
     partitions: Int = 8,
     seed: Long = 42,
-)
+) {
+  def l: Int = 16
+  def alpha: Int = 256
+  def maxCoeff: Int = 32
+  def binning: Sfa.Binning = Sfa.EquiWidth
+  def selection: Sfa.Selection = Sfa.ByVariance
+}

@@ -114,6 +114,20 @@ class EnginesParitySpec extends SparkSpec {
     } finally { sofa.close(); faiss.close() }
   }
 
+  test("an empty dataset is rejected on the driver at build — MESSI, UCR-P and FAISS") {
+    import spark.implicits._
+    val empty = spark.emptyDataset[SeriesRecord]
+    val builds: Seq[(String, () => Built)] = Seq(
+      "MESSI" -> (() => EngineFactory.messi(empty, 64, IndexConfig(partitions = 2))),
+      "UCR-P" -> (() => EngineFactory.ucr(empty, 2)),
+      "FAISS" -> (() => EngineFactory.faiss(empty, 2)),
+    )
+    builds.foreach { case (name, build) =>
+      val e = intercept[IllegalArgumentException](build())
+      assert(e.getMessage.contains("the dataset holds no series"), s"$name: ${e.getMessage}")
+    }
+  }
+
   test("SeriesGen queries are disjoint from the indexed id stream") {
     val spec = Benchmark17.catalog.head.scaled(0.005)
     val qs = SeriesGen.queries(spec.profile, 5, spec.seed)
