@@ -1,19 +1,18 @@
 package repro.baseline
 
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Dataset
-import org.apache.spark.storage.StorageLevel
 import repro.core.{Series, SeriesRecord, TopK}
-import repro.spark.Built
+import repro.spark.{Built, Partitions}
 
 /** FAISS IndexFlatL2 analog (paper's exact vector-search competitor): exact
   * brute-force L2 with the ||q||^2 + ||x||^2 - 2 q.x decomposition over a
   * per-partition row-major float matrix, no pruning and no early abandoning.
-  * As in the paper's protocol, FAISS processes queries in mini-batches; the
-  * whole batch runs in a single Spark job, parallel over partitions.
+  * As in the paper's protocol, FAISS processes queries in mini-batches: a
+  * whole batch is answered in one pass over the slabs, in parallel over
+  * partitions, in-process or in one Spark job as `Partitions` decides.
   */
 final class FaissFlat private (
-    val store: RDD[FaissFlat.Slab],
+    override private[repro] val partitions: Partitions[FaissFlat.Slab],
     val n: Int,
 ) extends Built {
 
@@ -21,12 +20,10 @@ final class FaissFlat private (
 
   override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] = {
     Built.validate(queries, k, n)
-    Built.perPartition(store, queries.map(Series.znorm).toArray, k) {
+    Built.perPartition(partitions, queries.map(Series.znorm).toArray, k) {
       (slab, qz) => FaissFlat.searchSlab(slab, qz, k)
     }
   }
-
-  override def close(): Unit = { store.unpersist(blocking = false); () }
 }
 
 object FaissFlat {
@@ -61,31 +58,28 @@ object FaissFlat {
 
   /** Materialize per-partition flat matrices of the z-normalized dataset. */
   def build(ds: Dataset[SeriesRecord], partitions: Int): FaissFlat = {
-    val store = ds.rdd
-      .map(r => (r.id, Series.znorm(r.values)))
-      .repartition(partitions)
-      .mapPartitions { it =>
-        val buf = it.toArray
-        if (buf.isEmpty) Iterator.empty
-        else {
-          val dim = buf.head._2.length
-          val flat = new Array[Float](buf.length * dim)
-          val norms = new Array[Double](buf.length)
-          var r = 0
-          while (r < buf.length) {
-            val z = buf(r)._2
-            Built.requireLength(buf(r)._1, z.length, dim)
-            System.arraycopy(z, 0, flat, r * dim, dim)
-            var acc = 0.0
-            var j = 0
-            while (j < dim) { val v = z(j).toDouble; acc += v * v; j += 1 }
-            norms(r) = acc
-            r += 1
-          }
-          Iterator.single(Slab(buf.map(_._1), dim, flat, norms))
+    val input = ds.rdd.map(r => (r.id, Series.znormFinite(r.id, r.values))).repartition(partitions)
+    val store = Partitions.persist(input) { it =>
+      val buf = it.toArray
+      if (buf.isEmpty) Iterator.empty
+      else {
+        val dim = buf.head._2.length
+        val flat = new Array[Float](buf.length * dim)
+        val norms = new Array[Double](buf.length)
+        var r = 0
+        while (r < buf.length) {
+          val z = buf(r)._2
+          Built.requireLength(buf(r)._1, z.length, dim)
+          System.arraycopy(z, 0, flat, r * dim, dim)
+          var acc = 0.0
+          var j = 0
+          while (j < dim) { val v = z(j).toDouble; acc += v * v; j += 1 }
+          norms(r) = acc
+          r += 1
         }
+        Iterator.single(Slab(buf.map(_._1), dim, flat, norms))
       }
-      .persist(StorageLevel.MEMORY_ONLY)
+    }
     // materializes the store and records the series length for `validate`
     val n = Built.storedLength(store)(slab => Some(slab.dim))
     new FaissFlat(store, n)

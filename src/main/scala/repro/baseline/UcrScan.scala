@@ -2,31 +2,31 @@ package repro.baseline
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Dataset
-import org.apache.spark.storage.StorageLevel
 import repro.core.{Series, SeriesRecord, TopK}
-import repro.spark.Built
+import repro.spark.{Built, Partitions}
 
 /** UCR Suite-P analog (paper's parallel sequential-scan competitor): each
   * partition owns a slice of the in-memory z-normalized series array and scans
   * it with an early-abandoning Euclidean distance against a per-slice
   * best-so-far; partitions synchronize only at the end (driver merge). No
   * index, no lower bounds — the paper's "optimized serial scan" baseline.
+  * Slices are answered in-process or in one Spark job, as `Partitions` decides.
   */
 final class UcrScan private (
-    val store: RDD[(Array[Long], Array[Array[Float]])],
+    override private[repro] val partitions: Partitions[(Array[Long], Array[Array[Float]])],
     val n: Int,
 ) extends Built {
 
   override def name: String = "UCR-P"
 
+  val store: RDD[(Array[Long], Array[Array[Float]])] = partitions.rdd
+
   override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] = {
     Built.validate(queries, k, n)
-    Built.perPartition(store, queries.map(Series.znorm).toArray, k) {
+    Built.perPartition(partitions, queries.map(Series.znorm).toArray, k) {
       case ((ids, zs), qz) => UcrScan.scanPartition(ids, zs, qz, k)
     }
   }
-
-  override def close(): Unit = { store.unpersist(blocking = false); () }
 }
 
 object UcrScan {
@@ -49,15 +49,12 @@ object UcrScan {
 
   /** Materialize z-normalized per-partition slices of the dataset. */
   def build(ds: Dataset[SeriesRecord], partitions: Int): UcrScan = {
-    val store = ds.rdd
-      .map(r => (r.id, Series.znorm(r.values)))
-      .repartition(partitions)
-      .mapPartitions { it =>
-        val buf = it.toArray
-        buf.foreach { case (id, z) => Built.requireLength(id, z.length, buf(0)._2.length) }
-        Iterator.single((buf.map(_._1), buf.map(_._2)))
-      }
-      .persist(StorageLevel.MEMORY_ONLY)
+    val input = ds.rdd.map(r => (r.id, Series.znormFinite(r.id, r.values))).repartition(partitions)
+    val store = Partitions.persist(input) { it =>
+      val buf = it.toArray
+      buf.foreach { case (id, z) => Built.requireLength(id, z.length, buf(0)._2.length) }
+      Iterator.single((buf.map(_._1), buf.map(_._2)))
+    }
     // materializes the store and records the series length for `validate`
     val n = Built.storedLength(store) { case (_, zs) => zs.headOption.map(_.length) }
     new UcrScan(store, n)

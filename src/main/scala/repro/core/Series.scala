@@ -20,7 +20,8 @@ object Series {
   val SigmaEps: Double = 1e-12
 
   /** z-normalize: subtract mean, divide by the population standard deviation.
-    * Constant series map to the all-zero series.
+    * Constant series map to the all-zero series. A series holding a NaN or an
+    * infinite value has a NaN mean or variance, so it maps to all NaN.
     */
   def znorm(x: Array[Float]): Array[Float] = {
     val n = x.length
@@ -34,6 +35,16 @@ object Series {
     i = 0
     while (i < n) { out(i) = ((x(i) - mean) / std).toFloat; i += 1 }
     out
+  }
+
+  /** `znorm(x)` of the stored series `id`, rejected with its id if it holds a
+    * NaN or an infinite value (its distance to any query would be NaN, so no
+    * search could return it). Reads `znorm`'s NaN output: no extra pass.
+    */
+  def znormFinite(id: Long, x: Array[Float]): Array[Float] = {
+    val z = znorm(x)
+    require(z.isEmpty || !z(0).isNaN, s"series $id has a NaN or infinite value")
+    z
   }
 
   /** Squared Euclidean distance between two equal-length series. */

@@ -207,7 +207,7 @@ object TreeIndex {
     val inWords = mutable.ArrayBuilder.make[Byte] // l unsigned symbols per series
     it.foreach { case (id, raw) =>
       require(raw.length == n, s"series $id has length ${raw.length}, expected $n")
-      val z = Series.znorm(raw)
+      val z = Series.znormFinite(id, raw)
       zs += z
       inIds += id
       space.word(z).foreach(s => inWords += s.toByte)

@@ -1,15 +1,16 @@
 package repro.spark
 
-import org.apache.spark.rdd.RDD
 import repro.core.Sfa
 
 /** A built, queryable similarity-search engine over one dataset.
   *
-  * `searchBatch` is the query path: the whole batch is answered in a single
-  * Spark job in which every partition answers every query in turn, and the
-  * driver merges the per-partition top-k of each query. `search` is a batch
-  * of one, so it too is one Spark job (the paper's sequential-query protocol:
-  * all workers cooperate on one query at a time). Answers are (id, distance)
+  * `searchBatch` is the query path: every partition answers every query in
+  * turn, and the driver merges the per-partition top-k of each query. Where
+  * the partitions' objects live in this JVM (`local[*]`) the partitions are
+  * answered in-process on a fixed thread pool, one task per partition, and
+  * no Spark job runs; otherwise the batch is one Spark job (`Partitions`).
+  * `search` is a batch of one (the paper's sequential-query protocol: all
+  * workers cooperate on one query at a time). Answers are (id, distance)
   * lists ordered by (distance, id).
   */
 trait Built {
@@ -20,7 +21,11 @@ trait Built {
 
   def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]]
 
-  def close(): Unit
+  /** The engine's persisted partition objects. */
+  private[repro] def partitions: Partitions[_]
+
+  /** Unpersist the partitions and drop them from the in-process registry. */
+  def close(): Unit = partitions.close()
 }
 
 object Built {
@@ -54,26 +59,27 @@ object Built {
 
   /** Materialize a persisted store in one job and return the series length
     * of its non-empty partitions. An empty store and partitions of different
-    * lengths are rejected on the driver.
+    * lengths are rejected on the driver, and the store is then closed.
     */
-  def storedLength[P](store: RDD[P])(lengthOf: P => Option[Int]): Int = {
-    val (lo, hi) = store.flatMap(p => lengthOf(p).map(n => (n, n)))
+  def storedLength[P](store: Partitions[P])(lengthOf: P => Option[Int]): Int = store.closeOnFailure {
+    val (lo, hi) = store.rdd.flatMap(p => lengthOf(p).map(n => (n, n)))
       .fold((Int.MaxValue, 0)) { case ((a, b), (c, d)) => (math.min(a, c), math.max(b, d)) }
     requireNonEmpty(hi > 0)
     require(lo == hi, s"partitions hold series of different lengths, from $lo to $hi")
     hi
   }
 
-  /** Answer every prepared query in every partition in one Spark job and
-    * return each query's merged global top-k. An empty batch runs no job.
-    * `answer` must not capture the engine, only what the task needs.
+  /** Answer every prepared query in every partition, in-process or in one
+    * Spark job (`Partitions.map`), and return each query's merged global
+    * top-k. An empty batch runs nothing. `answer` must not capture the
+    * engine, only what a task needs.
     */
-  def perPartition[P, Q](parts: RDD[P], prepared: Array[Q], k: Int)
+  def perPartition[P, Q](parts: Partitions[P], prepared: Array[Q], k: Int)
                         (answer: (P, Q) => Array[(Long, Double)]): Array[Array[(Long, Double)]] =
     if (prepared.isEmpty) Array.empty
     else {
-      val byPart = parts.map(p => prepared.map(answer(p, _))).collect()
-      prepared.indices.map(qi => mergeTopK(byPart.toSeq.map(_(qi)), k)).toArray
+      val byPart = parts.map(p => prepared.map(answer(p, _)))
+      prepared.indices.map(qi => mergeTopK(byPart.map(_(qi)), k)).toArray
     }
 }
 

@@ -10,13 +10,14 @@ object McbSpark {
 
   /** A `sampleRate` sample of `ds` (paper default 1%), collected to the
     * driver and z-normalized, in one Spark job. Falls back to the first 64
-    * series when the sample comes back empty (tiny test datasets).
+    * series when the sample comes back empty (tiny test datasets). A sampled
+    * series holding a NaN or infinite value is rejected by its id.
     */
   def sample(ds: Dataset[SeriesRecord], sampleRate: Double = 0.01,
              seed: Long = 42): Array[Array[Float]] = {
     val sampled = ds.sample(withReplacement = false, sampleRate, seed).collect()
     val rows = if (sampled.nonEmpty) sampled else ds.limit(64).collect()
-    rows.map(r => Series.znorm(r.values))
+    rows.map(r => Series.znormFinite(r.id, r.values))
   }
 
   /** One-shot fit: `Sfa.fit` over `sample(ds, sampleRate, seed)`. */

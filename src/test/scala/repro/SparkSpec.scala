@@ -3,9 +3,11 @@ package repro
 import scala.collection.concurrent.TrieMap
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Dataset, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.SeriesRecord
+import repro.spark.Built
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -40,6 +42,43 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       }
       listener.ended(group)
     } finally sc.removeSparkListener(listener)
+  }
+
+  /** Series 17, 42 and 0 of a 60-series dataset, each in turn holding a NaN,
+    * +Inf or -Inf: `build` must fail with a message naming that series.
+    */
+  def assertRejectsNonFinite(build: Dataset[SeriesRecord] => Built): Unit = {
+    import spark.implicits._
+    for ((bad, id) <- Seq(Float.NaN -> 17L, Float.PositiveInfinity -> 42L, Float.NegativeInfinity -> 0L)) {
+      val data = TestData.dataset(216, 60, 64).map { case (i, v) =>
+        SeriesRecord(i, if (i == id) { val c = v.clone(); c(9) = bad; c } else v)
+      }
+      val err = intercept[Exception](build(spark.createDataset(data.toIndexedSeq)))
+      assert(err.getMessage.contains(s"series $id has a NaN or infinite value"), err.getMessage)
+    }
+  }
+
+  /** `e.searchBatch(batch, k)` for every k, first on the in-process path,
+    * where no Spark job runs, then, after the engine's registry entries are
+    * dropped, on the job path, where each call is one job. Asserts that both
+    * paths give identical (id, distance) lists and returns them by k. The
+    * engine stays on the job path afterwards.
+    */
+  def bothPaths(e: Built, batch: Seq[Array[Float]], ks: Seq[Int]): Map[Int, Array[Array[(Long, Double)]]] = {
+    def run(k: Int, jobs: Int): Array[Array[(Long, Double)]] = {
+      var got: Array[Array[(Long, Double)]] = null
+      assert(jobsRun { got = e.searchBatch(batch, k) } == jobs, s"${e.name} k=$k")
+      got
+    }
+    val local = ks.map(k => k -> run(k, 0)).toMap
+    e.partitions.forget()
+    ks.foreach { k =>
+      val job = run(k, 1)
+      job.zip(local(k)).zipWithIndex.foreach { case ((j, l), qi) =>
+        assert(j.sameElements(l), s"${e.name} k=$k query $qi: job ${j.mkString(",")} in-process ${l.mkString(",")}")
+      }
+    }
+    local
   }
 }
 

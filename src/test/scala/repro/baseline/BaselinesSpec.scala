@@ -121,7 +121,7 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
-  test("search and searchBatch each run exactly one Spark job — UCR-P and FAISS") {
+  test("no Spark job in-process, one on the job path — UCR-P and FAISS") {
     val n = 64
     val ds = toDs(TestData.dataset(255, 300, n))
     val engines = Seq(UcrScan.build(ds, 3), FaissFlat.build(ds, 3))
@@ -129,6 +129,10 @@ class BaselinesSpec extends SparkSpec {
       val r = TestData.rng(256)
       val batch = Seq.fill(5)(TestData.mixedSeries(r, n))
       engines.foreach { e =>
+        assert(jobsRun(e.search(batch.head, 3)) == 0, e.name)
+        assert(jobsRun(e.searchBatch(batch, 3)) == 0, e.name)
+        assert(jobsRun(assert(e.searchBatch(Seq.empty, 3).isEmpty)) == 0, e.name)
+        e.partitions.forget()
         assert(jobsRun(e.search(batch.head, 3)) == 1, e.name)
         assert(jobsRun(e.searchBatch(batch, 3)) == 1, e.name)
         assert(jobsRun(assert(e.searchBatch(Seq.empty, 3).isEmpty)) == 0, e.name)
@@ -175,5 +179,13 @@ class BaselinesSpec extends SparkSpec {
       val split = intercept[IllegalArgumentException](build(toDs(alternating).coalesce(1), 2))
       assert(split.getMessage.contains("from 64 to 65"), split.getMessage)
     }
+  }
+
+  test("a stored NaN or infinite value is rejected at build, naming its series — UCR-P") {
+    assertRejectsNonFinite(UcrScan.build(_, 3))
+  }
+
+  test("a stored NaN or infinite value is rejected at build, naming its series — FAISS") {
+    assertRejectsNonFinite(FaissFlat.build(_, 3))
   }
 }

@@ -22,6 +22,20 @@ class SeriesSpec extends AnyFunSuite {
     assert(z.forall(_ == 0.0f))
   }
 
+  test("znorm maps a series holding NaN or an infinity to all NaN; znormFinite names it") {
+    val x = TestData.randomSeries(TestData.rng(4), 32)
+    for (bad <- Seq(Seq(Float.NaN), Seq(Float.PositiveInfinity), Seq(Float.NegativeInfinity),
+                    Seq(Float.PositiveInfinity, Float.NegativeInfinity))) {
+      val y = x.clone()
+      bad.zipWithIndex.foreach { case (v, i) => y(3 + 7 * i) = v }
+      assert(Series.znorm(y).forall(_.isNaN), bad)
+      val err = intercept[IllegalArgumentException](Series.znormFinite(5L, y))
+      assert(err.getMessage.contains("series 5 has a NaN or infinite value"))
+    }
+    assert(Series.znormFinite(5L, x).sameElements(Series.znorm(x)))
+    assert(Series.znormFinite(5L, Array.fill(8)(Float.MaxValue)).forall(_ == 0.0f))
+  }
+
   test("znorm is invariant to affine transforms of the input") {
     val r = TestData.rng(2)
     val x = TestData.randomSeries(r, 100)

@@ -90,7 +90,7 @@ class DistributedIndexSpec extends SparkSpec {
     }
   }
 
-  test("search and searchBatch each run exactly one Spark job — SOFA and MESSI") {
+  test("no Spark job in-process, one on the job path — SOFA and MESSI") {
     val n = 64
     val data = TestData.dataset(212, 300, n)
     val ds = toDs(data)
@@ -100,6 +100,10 @@ class DistributedIndexSpec extends SparkSpec {
       val r = TestData.rng(213)
       val batch = Seq.fill(5)(TestData.mixedSeries(r, n))
       engines.foreach { e =>
+        assert(jobsRun(e.search(batch.head, 3)) == 0, e.name)
+        assert(jobsRun(e.searchBatch(batch, 3)) == 0, e.name)
+        assert(jobsRun(assert(e.searchBatch(Seq.empty, 3).isEmpty)) == 0, e.name)
+        e.partitions.forget()
         assert(jobsRun(e.search(batch.head, 3)) == 1, e.name)
         assert(jobsRun(e.searchBatch(batch, 3)) == 1, e.name)
         assert(jobsRun(assert(e.searchBatch(Seq.empty, 3).isEmpty)) == 0, e.name)
@@ -124,5 +128,13 @@ class DistributedIndexSpec extends SparkSpec {
         assert(err.getMessage.contains("query 1 has a NaN or infinite value"))
       }
     } finally idx.close()
+  }
+
+  test("a stored NaN or infinite value is rejected at build, naming its series — SOFA") {
+    assertRejectsNonFinite(ds => EngineFactory.sofa(ds, 64, IndexConfig(leafCapacity = 16, partitions = 3, sampleRate = 0.2)))
+  }
+
+  test("a stored NaN or infinite value is rejected at build, naming its series — MESSI") {
+    assertRejectsNonFinite(ds => EngineFactory.messi(ds, 64, IndexConfig(leafCapacity = 16, partitions = 3)))
   }
 }

@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.sql.Dataset
 import repro.{SparkSpec, TestData}
 import repro.core.SeriesRecord
 import repro.data.{Benchmark17, SeriesGen}
@@ -99,6 +100,100 @@ class EnginesParitySpec extends SparkSpec {
         }
       } finally (exact :+ faiss).foreach(_.close())
     }
+  }
+
+  /** Mixed series with five constant series (exact ties at distance 0 to a
+    * constant query) and four exact copies of series 4, in descending id order.
+    */
+  private def tiesAndDuplicates(n: Int): Array[(Long, Array[Float])] = {
+    val constIds = Set(3L, 11L, 20L, 33L, 57L)
+    val dupIds = Set(4L, 19L, 42L, 66L)
+    val base = TestData.dataset(265, 80, n)
+    base.map { case (id, v) =>
+      (id, if (constIds(id)) Array.fill(n)(id.toFloat) else if (dupIds(id)) base(4)._2.clone() else v)
+    }.reverse
+  }
+
+  private def allFour(ds: Dataset[SeriesRecord], n: Int, p: Int): Seq[Built] = {
+    val cfg = IndexConfig(leafCapacity = 16, partitions = p, sampleRate = 1.0)
+    Seq(EngineFactory.sofa(ds, n, cfg), EngineFactory.messi(ds, n, cfg),
+        EngineFactory.ucr(ds, p), EngineFactory.faiss(ds, p))
+  }
+
+  /** SOFA, MESSI and UCR-P must give brute force's exact list; FAISS its ids,
+    * with distances from the norm decomposition within 1e-4.
+    */
+  private def assertBrute(e: Built, got: Array[(Long, Double)], want: Array[(Long, Double)], what: String): Unit =
+    if (e.name == "FAISS") {
+      assert(got.map(_._1).sameElements(want.map(_._1)), s"$what: ${got.mkString(",")} want ${want.mkString(",")}")
+      TestData.assertSameKnn(got, want, tol = 1e-4)
+    } else assert(got.sameElements(want), s"$what: ${got.mkString(",")} want ${want.mkString(",")}")
+
+  test("in-process and job paths give identical brute-force answers — all four engines, partitions {1, 3, 8}, k {1, 3, 10}") {
+    import spark.implicits._
+    val n = 64
+    val data = tiesAndDuplicates(n)
+    val ds = spark.createDataset(data.map { case (id, v) => SeriesRecord(id, v) }.toIndexedSeq)
+    val r = TestData.rng(266)
+    val shape = data.find(_._1 == 4L).get._2
+    val batch = Seq(Array.fill(n)(5.0f), shape, shape.map(x => x + 0.05f * r.nextGaussian().toFloat),
+                    TestData.mixedSeries(r, n), data(30)._2)
+    for (p <- Seq(1, 3, 8)) {
+      val engines = allFour(ds, n, p)
+      try engines.foreach { e =>
+        bothPaths(e, batch, Seq(1, 3, 10)).foreach { case (k, got) =>
+          batch.zip(got).zipWithIndex.foreach { case ((q, g), qi) =>
+            assertBrute(e, g, TestData.bruteKnn(data.toIndexedSeq, q, k), s"${e.name} p=$p k=$k query $qi")
+          }
+        }
+      } finally engines.foreach(_.close())
+    }
+  }
+
+  test("k above the dataset size returns every series in (distance, id) order — all four engines, both paths") {
+    import spark.implicits._
+    val n = 64
+    val data = tiesAndDuplicates(n)
+    val ds = spark.createDataset(data.map { case (id, v) => SeriesRecord(id, v) }.toIndexedSeq)
+    val r = TestData.rng(267)
+    val batch = Seq(Array.fill(n)(5.0f), TestData.mixedSeries(r, n))
+    val want = batch.map(q => TestData.bruteKnn(data.toIndexedSeq, q, data.length))
+    for (p <- Seq(1, 3)) {
+      val engines = allFour(ds, n, p)
+      try engines.foreach { e =>
+        bothPaths(e, batch, Seq(data.length + 1, 10 * data.length)).foreach { case (k, got) =>
+          got.zip(want).zipWithIndex.foreach { case ((g, w), qi) =>
+            assert(g.length == data.length, s"${e.name} p=$p k=$k query $qi")
+            assertBrute(e, g, w, s"${e.name} p=$p k=$k query $qi")
+          }
+        }
+      } finally engines.foreach(_.close())
+    }
+  }
+
+  test("concurrent clients get the serial answers — all four engines") {
+    import spark.implicits._
+    val n = 64
+    val data = TestData.dataset(268, 300, n)
+    val ds = spark.createDataset(data.map { case (id, v) => SeriesRecord(id, v) }.toIndexedSeq)
+    val r = TestData.rng(269)
+    val queries = Seq.fill(12)(TestData.mixedSeries(r, n))
+    val engines = allFour(ds, n, 3)
+    try engines.foreach { e =>
+      val serial = queries.map(e.search(_, 3))
+      val mismatches = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+      val clients = (0 until 4).map { c =>
+        new Thread(() =>
+          try for (round <- 0 until 5; i <- queries.indices) {
+            val qi = (i * (c + 1) + round) % queries.length
+            val got = e.search(queries(qi), 3)
+            if (!got.sameElements(serial(qi))) mismatches.add(s"client $c query $qi: ${got.mkString(",")}")
+          } catch { case t: Throwable => mismatches.add(s"client $c threw $t") })
+      }
+      clients.foreach(_.start())
+      clients.foreach(_.join())
+      assert(mismatches.isEmpty, s"${e.name}: ${mismatches.toArray.mkString("; ")}")
+    } finally engines.foreach(_.close())
   }
 
   test("engines handle the vector-data profile (short series, n=96)") {
