@@ -28,8 +28,9 @@ final class FaissFlat private (
 
 object FaissFlat {
 
-  /** One partition's flat store: ids, a rows x dim row-major matrix of
-    * z-normalized values, and precomputed squared row norms.
+  /** One partition's flat store, shared with UCR-P: ids, a rows x dim
+    * row-major matrix of z-normalized values, and precomputed squared row
+    * norms (read by FAISS only).
     */
   final case class Slab(ids: Array[Long], dim: Int, flat: Array[Float],
                         normsSq: Array[Double]) extends Serializable {
@@ -56,8 +57,13 @@ object FaissFlat {
     top.drain()
   }
 
-  /** Materialize per-partition flat matrices of the z-normalized dataset. */
-  def build(ds: Dataset[SeriesRecord], partitions: Int): FaissFlat = {
+  /** Materialize per-partition slabs of the z-normalized dataset and return
+    * them with the series length. A stored NaN or infinite value, or a series
+    * whose length differs from the first series of its partition, fails its
+    * build task. An empty dataset, or partitions holding different lengths,
+    * is rejected on the driver, and the store is then closed.
+    */
+  private[baseline] def slabs(ds: Dataset[SeriesRecord], partitions: Int): (Partitions[Slab], Int) = {
     val input = ds.rdd.map(r => (r.id, Series.znormFinite(r.id, r.values))).repartition(partitions)
     val store = Partitions.persist(input) { it =>
       val buf = it.toArray
@@ -68,8 +74,9 @@ object FaissFlat {
         val norms = new Array[Double](buf.length)
         var r = 0
         while (r < buf.length) {
-          val z = buf(r)._2
-          Built.requireLength(buf(r)._1, z.length, dim)
+          val (id, z) = buf(r)
+          require(z.length == dim,
+            s"series $id has length ${z.length}, the first series of its partition has length $dim")
           System.arraycopy(z, 0, flat, r * dim, dim)
           var acc = 0.0
           var j = 0
@@ -80,8 +87,19 @@ object FaissFlat {
         Iterator.single(Slab(buf.map(_._1), dim, flat, norms))
       }
     }
-    // materializes the store and records the series length for `validate`
-    val n = Built.storedLength(store)(slab => Some(slab.dim))
+    // one job materializes the store and finds the series length for `validate`
+    val n = store.closeOnFailure {
+      val dims = store.rdd.map(_.dim).collect().distinct
+      Built.requireNonEmpty(dims.exists(_ > 0))
+      require(dims.length == 1, s"partitions hold series of different lengths, from ${dims.min} to ${dims.max}")
+      dims(0)
+    }
+    (store, n)
+  }
+
+  /** Materialize the z-normalized dataset as per-partition slabs. */
+  def build(ds: Dataset[SeriesRecord], partitions: Int): FaissFlat = {
+    val (store, n) = slabs(ds, partitions)
     new FaissFlat(store, n)
   }
 }

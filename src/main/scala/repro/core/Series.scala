@@ -8,8 +8,8 @@ final case class SeriesRecord(id: Long, values: Array[Float]) {
 }
 
 /** Numeric substrate shared by every summarization and engine: z-normalization
-  * and the (squared) Euclidean distance, with an early-abandoning variant used
-  * by the GEMINI refinement step and the UCR-scan baseline.
+  * and the squared Euclidean distance, with the early-abandoning variant used
+  * by the GEMINI refinement step of the trees and by the UCR-scan baseline.
   *
   * All engines z-normalize series once at indexing time, so the plain ED over
   * stored series equals the paper's z-normalized ED (Definition 2).
@@ -55,41 +55,39 @@ object Series {
     acc
   }
 
-  /** Euclidean distance. */
-  def ed(a: Array[Float], b: Array[Float]): Double = math.sqrt(edSq(a, b))
-
-  /** Squared ED with early abandoning: once the partial sum exceeds
-    * `bsfSq` the scan stops and the (>= bsfSq) partial sum is returned.
-    * Checked every 8 points — the chunk granularity of the paper's SIMD
-    * kernels. If the returned value is < bsfSq it IS the exact squared ED.
-    */
+  /** `edSqEarlyAbandonAt(a, b, 0, bsfSq)` for two equal-length series. */
   def edSqEarlyAbandon(a: Array[Float], b: Array[Float], bsfSq: Double): Double = {
     require(a.length == b.length, s"length mismatch: ${a.length} vs ${b.length}")
-    val n = a.length
-    var i = 0; var acc = 0.0
-    while (i < n) {
-      val end = math.min(i + 8, n)
-      while (i < end) { val d = a(i).toDouble - b(i); acc += d * d; i += 1 }
-      if (acc > bsfSq) return acc
-    }
-    acc
+    edSqEarlyAbandonAt(a, b, 0, bsfSq)
   }
 
-  /** `edSqEarlyAbandon(a, b.slice(off, off + a.length), bsfSq)` without the
-    * copy: the same sums in the same order, so the same result bit for bit.
-    * Reads the series stored at offset `off` of a flat array.
+  /** Squared ED between `a` and the series stored at offset `off` of a flat
+    * array `b`, with early abandoning: once the partial sum exceeds `bsfSq`
+    * the scan stops and the (> bsfSq) partial sum is returned. Checked after
+    * every chunk of 8 points, the chunk granularity of the paper's SIMD
+    * kernels; the last `n % 8` points are added without a check. If the
+    * returned value is <= bsfSq it IS the exact squared ED. The one
+    * refinement kernel of the trees and UCR-P.
     */
   def edSqEarlyAbandonAt(a: Array[Float], b: Array[Float], off: Int, bsfSq: Double): Double = {
     val n = a.length
+    require(off >= 0 && off <= b.length - n,
+      s"a series of length $n at offset $off does not fit in an array of length ${b.length}")
+    val chunked = n & ~7
     var i = 0; var acc = 0.0
-    while (i < n) {
-      val end = math.min(i + 8, n)
-      while (i < end) { val d = a(i).toDouble - b(off + i); acc += d * d; i += 1 }
+    while (i < chunked) {
+      val o = off + i
+      val d0 = a(i).toDouble - b(o);         val d1 = a(i + 1).toDouble - b(o + 1)
+      val d2 = a(i + 2).toDouble - b(o + 2); val d3 = a(i + 3).toDouble - b(o + 3)
+      val d4 = a(i + 4).toDouble - b(o + 4); val d5 = a(i + 5).toDouble - b(o + 5)
+      val d6 = a(i + 6).toDouble - b(o + 6); val d7 = a(i + 7).toDouble - b(o + 7)
+      // one addition at a time, in index order: the sum of a plain loop, bit for bit
+      acc += d0 * d0; acc += d1 * d1; acc += d2 * d2; acc += d3 * d3
+      acc += d4 * d4; acc += d5 * d5; acc += d6 * d6; acc += d7 * d7
       if (acc > bsfSq) return acc
+      i += 8
     }
+    while (i < n) { val d = a(i).toDouble - b(off + i); acc += d * d; i += 1 }
     acc
   }
-
-  /** z-normalized squared ED computed from raw (un-normalized) inputs. */
-  def zEdSq(a: Array[Float], b: Array[Float]): Double = edSq(znorm(a), znorm(b))
 }

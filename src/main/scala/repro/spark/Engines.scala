@@ -47,27 +47,9 @@ object Built {
     }
   }
 
-  /** Reject, inside a build task, a series whose length differs from `n`,
-    * the length of the first series of its partition.
-    */
-  def requireLength(id: Long, length: Int, n: Int): Unit =
-    require(length == n, s"series $id has length $length, the first series of its partition has length $n")
-
   /** Reject, on the driver at build, a dataset that holds no series. */
   def requireNonEmpty(nonEmpty: Boolean): Unit =
     require(nonEmpty, "the dataset holds no series; an index needs at least one")
-
-  /** Materialize a persisted store in one job and return the series length
-    * of its non-empty partitions. An empty store and partitions of different
-    * lengths are rejected on the driver, and the store is then closed.
-    */
-  def storedLength[P](store: Partitions[P])(lengthOf: P => Option[Int]): Int = store.closeOnFailure {
-    val (lo, hi) = store.rdd.flatMap(p => lengthOf(p).map(n => (n, n)))
-      .fold((Int.MaxValue, 0)) { case ((a, b), (c, d)) => (math.min(a, c), math.max(b, d)) }
-    requireNonEmpty(hi > 0)
-    require(lo == hi, s"partitions hold series of different lengths, from $lo to $hi")
-    hi
-  }
 
   /** Answer every prepared query in every partition, in-process or in one
     * Spark job (`Partitions.map`), and return each query's merged global

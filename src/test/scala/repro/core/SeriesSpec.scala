@@ -74,7 +74,7 @@ class SeriesSpec extends AnyFunSuite {
       val a = TestData.randomSeries(r, 32)
       val b = TestData.randomSeries(r, 32)
       val c = TestData.randomSeries(r, 32)
-      assert(Series.ed(a, c) <= Series.ed(a, b) + Series.ed(b, c) + 1e-9)
+      assert(EdReference.ed(a, c) <= EdReference.ed(a, b) + EdReference.ed(b, c) + 1e-9)
     }
   }
 
@@ -125,17 +125,30 @@ class SeriesSpec extends AnyFunSuite {
 
   test("offset early-abandoning edSq equals edSqEarlyAbandon exactly") {
     val r = TestData.rng(7)
-    for (n <- Seq(1, 7, 8, 9, 64, 100)) {
+    for (n <- Seq(1, 7, 8, 9, 15, 16, 17, 64, 100, 128, 256)) {
       val q = TestData.randomSeries(r, n)
       val xs = Array.fill(4)(TestData.randomSeries(r, n))
       val flat = Array.fill(3)(0.5f) ++ xs.flatten
       xs.indices.foreach { i =>
         val full = Series.edSq(q, xs(i))
-        for (bsf <- Seq(Double.PositiveInfinity, full, full / 3, 0.0)) {
-          assert(Series.edSqEarlyAbandonAt(q, flat, 3 + i * n, bsf) ==
-                 Series.edSqEarlyAbandon(q, xs(i), bsf), s"n=$n i=$i bsf=$bsf")
+        // the partial sum at the last chunk boundary before the end
+        val atChunk = Series.edSq(q.take((n - 1) & ~7), xs(i).take((n - 1) & ~7))
+        for (bsf <- Seq(Double.PositiveInfinity, full, full / 3, 0.0, atChunk)) {
+          val want = EdReference.edSqEarlyAbandon(q, xs(i), bsf)
+          assert(Series.edSqEarlyAbandonAt(q, flat, 3 + i * n, bsf) == want, s"n=$n i=$i bsf=$bsf")
+          assert(Series.edSqEarlyAbandon(q, xs(i), bsf) == want, s"n=$n i=$i bsf=$bsf")
         }
       }
+    }
+  }
+
+  test("offset early-abandoning edSq rejects a series outside the array") {
+    val q = TestData.randomSeries(TestData.rng(12), 9)
+    val flat = new Array[Float](20)
+    assert(Series.edSqEarlyAbandonAt(q, flat, 11, Double.PositiveInfinity) == Series.edSq(q, new Array[Float](9)))
+    for (off <- Seq(-1, 12, 20, Int.MaxValue)) {
+      val err = intercept[IllegalArgumentException](Series.edSqEarlyAbandonAt(q, flat, off, Double.PositiveInfinity))
+      assert(err.getMessage.contains(s"offset $off"), err.getMessage)
     }
   }
 
@@ -143,13 +156,13 @@ class SeriesSpec extends AnyFunSuite {
     val r = TestData.rng(10)
     val a = Series.znorm(TestData.randomSeries(r, 60))
     val b = Series.znorm(TestData.randomSeries(r, 60))
-    assert(math.abs(Series.zEdSq(a, b) - Series.edSq(a, b)) < 1e-4)
+    assert(math.abs(EdReference.zEdSq(a, b) - Series.edSq(a, b)) < 1e-4)
   }
 
   test("z-ED of scaled/shifted copies of the same shape is ~0") {
     val r = TestData.rng(11)
     val x = TestData.randomSeries(r, 128)
     val y = x.map(v => v * 4.0f - 2.0f)
-    assert(math.sqrt(Series.zEdSq(x, y)) < 1e-2)
+    assert(math.sqrt(EdReference.zEdSq(x, y)) < 1e-2)
   }
 }

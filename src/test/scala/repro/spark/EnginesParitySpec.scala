@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.Dataset
 import repro.{SparkSpec, TestData}
-import repro.core.SeriesRecord
+import repro.core.{Series, SeriesRecord}
 import repro.data.{Benchmark17, SeriesGen}
 
 class EnginesParitySpec extends SparkSpec {
@@ -131,22 +131,28 @@ class EnginesParitySpec extends SparkSpec {
 
   test("in-process and job paths give identical brute-force answers — all four engines, partitions {1, 3, 8}, k {1, 3, 10}") {
     import spark.implicits._
-    val n = 64
-    val data = tiesAndDuplicates(n)
-    val ds = spark.createDataset(data.map { case (id, v) => SeriesRecord(id, v) }.toIndexedSeq)
-    val r = TestData.rng(266)
-    val shape = data.find(_._1 == 4L).get._2
-    val batch = Seq(Array.fill(n)(5.0f), shape, shape.map(x => x + 0.05f * r.nextGaussian().toFloat),
-                    TestData.mixedSeries(r, n), data(30)._2)
-    for (p <- Seq(1, 3, 8)) {
-      val engines = allFour(ds, n, p)
-      try engines.foreach { e =>
-        bothPaths(e, batch, Seq(1, 3, 10)).foreach { case (k, got) =>
-          batch.zip(got).zipWithIndex.foreach { case ((q, g), qi) =>
-            assertBrute(e, g, TestData.bruteKnn(data.toIndexedSeq, q, k), s"${e.name} p=$p k=$k query $qi")
+    // n = 100 leaves a 4-point tail after the ED kernel's 8-point chunks
+    for (n <- Seq(64, 100)) {
+      val data = tiesAndDuplicates(n)
+      val ds = spark.createDataset(data.map { case (id, v) => SeriesRecord(id, v) }.toIndexedSeq)
+      val r = TestData.rng(266)
+      val shape = data.find(_._1 == 4L).get._2
+      // the last query is a near-duplicate: stored series 49, z-normalized,
+      // jittered by about 1e-3
+      val batch = Seq(Array.fill(n)(5.0f), shape, shape.map(x => x + 0.05f * r.nextGaussian().toFloat),
+                      TestData.mixedSeries(r, n), data(30)._2,
+                      Series.znorm(data(30)._2).map(x => x + 1e-3f * r.nextGaussian().toFloat))
+      for (p <- Seq(1, 3, 8)) {
+        val engines = allFour(ds, n, p)
+        try engines.foreach { e =>
+          bothPaths(e, batch, Seq(1, 3, 10)).foreach { case (k, got) =>
+            batch.zip(got).zipWithIndex.foreach { case ((q, g), qi) =>
+              assertBrute(e, g, TestData.bruteKnn(data.toIndexedSeq, q, k), s"${e.name} n=$n p=$p k=$k query $qi")
+            }
+            assert(got(5).head._1 == 49L, s"${e.name} n=$n p=$p k=$k: ${got(5).mkString(",")}")
           }
-        }
-      } finally engines.foreach(_.close())
+        } finally engines.foreach(_.close())
+      }
     }
   }
 
