@@ -1,8 +1,8 @@
 package repro.baseline
 
 import org.apache.spark.sql.Dataset
-import repro.core.{Series, SeriesRecord, TopK}
-import repro.spark.{Built, Partitions}
+import repro.core.{Series, SeriesRecord, Slab, TopK}
+import repro.spark.{Built, Engine, Partitions}
 
 /** FAISS IndexFlatL2 analog (paper's exact vector-search competitor): exact
   * brute-force L2 with the ||q||^2 + ||x||^2 - 2 q.x decomposition over a
@@ -12,30 +12,18 @@ import repro.spark.{Built, Partitions}
   * partitions, in-process or in one Spark job as `Partitions` decides.
   */
 final class FaissFlat private (
-    override private[repro] val partitions: Partitions[FaissFlat.Slab],
+    override private[repro] val partitions: Partitions[Slab],
     val n: Int,
-) extends Built {
+) extends Engine[Slab, Array[Float]] {
 
   override def name: String = "FAISS"
 
-  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] = {
-    Built.validate(queries, k, n)
-    Built.perPartition(partitions, queries.map(Series.znorm).toArray, k) {
-      (slab, qz) => FaissFlat.searchSlab(slab, qz, k)
-    }
-  }
+  override protected def prepare(qz: Array[Float]): Array[Float] = qz
+
+  override protected def kernel: (Slab, Array[Float], Int) => Array[(Long, Double)] = FaissFlat.searchSlab
 }
 
 object FaissFlat {
-
-  /** One partition's flat store, shared with UCR-P: ids, a rows x dim
-    * row-major matrix of z-normalized values, and precomputed squared row
-    * norms (read by FAISS only).
-    */
-  final case class Slab(ids: Array[Long], dim: Int, flat: Array[Float],
-                        normsSq: Array[Double]) extends Serializable {
-    def rows: Int = ids.length
-  }
 
   private[baseline] def searchSlab(slab: Slab, qz: Array[Float], k: Int): Array[(Long, Double)] = {
     val dim = slab.dim
@@ -66,28 +54,10 @@ object FaissFlat {
   private[baseline] def slabs(ds: Dataset[SeriesRecord], partitions: Int): (Partitions[Slab], Int) = {
     val input = ds.rdd.map(r => (r.id, Series.znormFinite(r.id, r.values))).repartition(partitions)
     val store = Partitions.persist(input) { it =>
-      val buf = it.toArray
-      if (buf.isEmpty) Iterator.empty
-      else {
-        val dim = buf.head._2.length
-        val flat = new Array[Float](buf.length * dim)
-        val norms = new Array[Double](buf.length)
-        var r = 0
-        while (r < buf.length) {
-          val (id, z) = buf(r)
-          require(z.length == dim,
-            s"series $id has length ${z.length}, the first series of its partition has length $dim")
-          System.arraycopy(z, 0, flat, r * dim, dim)
-          var acc = 0.0
-          var j = 0
-          while (j < dim) { val v = z(j).toDouble; acc += v * v; j += 1 }
-          norms(r) = acc
-          r += 1
-        }
-        Iterator.single(Slab(buf.map(_._1), dim, flat, norms))
-      }
+      val rows = it.toArray
+      if (rows.isEmpty) Iterator.empty else Iterator.single(Slab.pack(rows))
     }
-    // one job materializes the store and finds the series length for `validate`
+    // one job materializes the store and finds the series length for `searchBatch`
     val n = store.closeOnFailure {
       val dims = store.rdd.map(_.dim).collect().distinct
       Built.requireNonEmpty(dims.exists(_ > 0))

@@ -2,9 +2,8 @@ package repro.baseline
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Dataset
-import repro.baseline.FaissFlat.Slab
-import repro.core.{Series, SeriesRecord, TopK}
-import repro.spark.{Built, Partitions}
+import repro.core.{Series, SeriesRecord, Slab, TopK}
+import repro.spark.{Engine, Partitions}
 
 /** UCR Suite-P analog (paper's parallel sequential-scan competitor): each
   * partition owns a slab of the in-memory z-normalized series and scans it
@@ -16,7 +15,7 @@ import repro.spark.{Built, Partitions}
 final class UcrScan private (
     override private[repro] val partitions: Partitions[Slab],
     val n: Int,
-) extends Built {
+) extends Engine[Slab, Array[Float]] {
 
   override def name: String = "UCR-P"
 
@@ -28,19 +27,14 @@ final class UcrScan private (
   def store: RDD[(Array[Long], Array[Array[Float]])] =
     partitions.rdd.map(s => (s.ids, Array.tabulate(s.rows)(r => s.flat.slice(r * s.dim, (r + 1) * s.dim))))
 
-  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] = {
-    Built.validate(queries, k, n)
-    Built.perPartition(partitions, queries.map(Series.znorm).toArray, k) {
-      (slab, qz) => UcrScan.scanSlab(slab, qz, k)
-    }
-  }
+  override protected def prepare(qz: Array[Float]): Array[Float] = qz
+
+  override protected def kernel: (Slab, Array[Float], Int) => Array[(Long, Double)] = UcrScan.scanSlab
 }
 
 object UcrScan {
 
-  /** Early-abandoning scan of one slab (static so task closures never
-    * capture the engine instance).
-    */
+  /** Early-abandoning scan of one slab. */
   private[baseline] def scanSlab(slab: Slab, qz: Array[Float], k: Int): Array[(Long, Double)] = {
     val top = new TopK(k)
     var bsfSq = Double.PositiveInfinity

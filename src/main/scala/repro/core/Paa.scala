@@ -36,15 +36,4 @@ object Paa {
     val b = bounds(n, l)
     Array.tabulate(l)(i => b(i + 1) - b(i))
   }
-
-  /** Squared PAA lower-bound distance:
-    *   d^2 = sum_i len_i * (pa_i - pb_i)^2  <=  ED^2(a, b).
-    * (For n divisible by l this is the classic (n/l) * sum of squared
-    * differences.)
-    */
-  def lbSq(pa: Array[Double], pb: Array[Double], segLen: Array[Int]): Double = {
-    var i = 0; var acc = 0.0
-    while (i < pa.length) { val d = pa(i) - pb(i); acc += segLen(i) * d * d; i += 1 }
-    acc
-  }
 }

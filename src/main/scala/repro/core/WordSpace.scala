@@ -81,16 +81,17 @@ final class QuantizedWordSpace(
   /** Full-cardinality word of a raw (z-normalized) series. */
   def word(x: Array[Float]): Array[Int] = quantize(project(x))
 
-  /** Weighted squared mindist of value `v` to the bin of full-cardinality
-    * symbol `s` in dimension `j` (Eq. 2): zero inside the bin, else the
-    * squared gap to its nearer edge. The one definition of a word-LBD term,
-    * shared by `wordLbSq` and `lbTable`, so both sum bit-identical terms.
+  /** Weighted squared mindist of value `v` to the bins `[sLo, sHi]` of
+    * dimension `j` (Eq. 2): zero inside them, else the squared gap to the
+    * nearer edge. The one definition of an LBD term: a word's symbol `s` is
+    * the range `[s, s]` (`wordLbSq`, `lbTable`), a node's prefix the range of
+    * the bins it covers (`nodeLbSq`), so all sum bit-identical terms.
     */
-  private def termSq(j: Int, s: Int, v: Double): Double = {
+  private def gapSq(j: Int, sLo: Int, sHi: Int, v: Double): Double = {
     val bp = breakpoints(j)
     var d = 0.0
-    if (s > 0 && v < bp(s - 1)) d = bp(s - 1) - v
-    else if (s < alpha - 1 && v > bp(s)) d = v - bp(s)
+    if (sLo > 0 && v < bp(sLo - 1)) d = bp(sLo - 1) - v
+    else if (sHi < alpha - 1 && v > bp(sHi)) d = v - bp(sHi)
     weights(j) * d * d
   }
 
@@ -104,14 +105,14 @@ final class QuantizedWordSpace(
     var j = 0
     while (j < l) {
       val chunkEnd = math.min(j + QuantizedWordSpace.ChunkSize, l)
-      while (j < chunkEnd) { acc += termSq(j, w(j), qp(j)); j += 1 }
+      while (j < chunkEnd) { acc += gapSq(j, w(j), w(j), qp(j)); j += 1 }
       if (acc > bsfSq) return acc
     }
     acc
   }
 
   /** The query's l×alpha table of word-LBD terms: entry `(j << maxBits) + s`
-    * is `termSq(j, s, qp(j))`. Built once per query, it turns each word-LBD
+    * is `gapSq(j, s, s, qp(j))`. Built once per query, it turns each word-LBD
     * into l lookups (the asymmetric distance of product quantization).
     */
   def lbTable(qp: Array[Double]): Array[Double] = {
@@ -119,7 +120,7 @@ final class QuantizedWordSpace(
     var j = 0
     while (j < l) {
       var s = 0
-      while (s < alpha) { table((j << maxBits) + s) = termSq(j, s, qp(j)); s += 1 }
+      while (s < alpha) { table((j << maxBits) + s) = gapSq(j, s, s, qp(j)); s += 1 }
       j += 1
     }
     table
@@ -149,28 +150,9 @@ final class QuantizedWordSpace(
     var j = 0
     while (j < l) {
       val span = maxBits - bits(j)
-      val sLo = prefix(j) << span
-      val sHi = ((prefix(j) + 1) << span) - 1
-      val bp = breakpoints(j)
-      val v = qp(j)
-      var d = 0.0
-      if (sLo > 0 && v < bp(sLo - 1)) d = bp(sLo - 1) - v
-      else if (sHi < alpha - 1 && v > bp(sHi)) d = v - bp(sHi)
-      acc += weights(j) * d * d
+      acc += gapSq(j, prefix(j) << span, ((prefix(j) + 1) << span) - 1, qp(j))
       j += 1
     }
-    acc
-  }
-
-  /** Squared lower bound of the plain projection distance (no quantization):
-    * sum_j w_j (qp_j - cp_j)^2. For SFA this is the DFT lower bound (Eq. 1);
-    * for iSAX it is the PAA lower bound. Only tests call it, to check the
-    * quantized bounds against it.
-    */
-  def projLbSq(qp: Array[Double], cp: Array[Double]): Double = {
-    var acc = 0.0
-    var j = 0
-    while (j < l) { val d = qp(j) - cp(j); acc += weights(j) * d * d; j += 1 }
     acc
   }
 }

@@ -1,6 +1,6 @@
 package repro.index
 
-import repro.core.{QuantizedWordSpace, Series, TopK}
+import repro.core.{QuantizedWordSpace, Series, Slab, TopK}
 
 import scala.collection.mutable
 
@@ -28,33 +28,26 @@ import scala.collection.mutable
   * squared internally; results are ordered by (distance, id).
   *
   * One instance indexes one Spark partition's series and is built in one
-  * top-down pass inside `mapPartitions`. Series, words and ids are stored in
-  * three flat arrays in leaf order, and each leaf is a slot range into them.
-  * The tree is immutable.
+  * top-down pass inside `mapPartitions`. Series and ids are stored in a
+  * `Slab` and words in one flat array, all in leaf order, and each leaf is a
+  * slot range into them. The tree is immutable.
   *
-  * Slot `e` holds the z-normalized series `values(e * n until (e + 1) * n)`,
-  * its word as unsigned bytes `symbols(e * l until (e + 1) * l)` and its
-  * external id `ids(e)`. `root` is `None` only for an empty tree.
+  * Slot `e` holds row `e` of `slab` (the z-normalized series and its external
+  * id) and its word as unsigned bytes `symbols(e * l until (e + 1) * l)`.
+  * `root` is `None` only for an empty tree.
   */
 final class TreeIndex private (
     val space: QuantizedWordSpace,
     val leafCapacity: Int,
-    values: Array[Float],
+    private[repro] val slab: Slab,
     symbols: Array[Byte],
-    ids: Array[Long],
     root: Option[TreeIndex.Node],
 ) extends Serializable {
   import TreeIndex._
 
-  def size: Int = ids.length
+  def size: Int = slab.rows
 
   // ---------------------------------------------------------------- querying
-
-  /** One k-NN result: external series id and the (non-squared) distance. */
-  def search(query: Array[Float], k: Int): Array[(Long, Double)] = {
-    val qz = Series.znorm(query)
-    searchProjected(qz, space.project(qz), k)
-  }
 
   /** The query's own leaf: the root descended by the query's word bits.
     * `None` only for an empty index.
@@ -77,18 +70,15 @@ final class TreeIndex private (
     * same phase itself; this standalone form is kept for `nnbench`, whose
     * replay merges approximate answers across trees into a shared BSF.
     */
-  def approxSearch(qz: Array[Float], qp: Array[Double], k: Int): Array[(Long, Double)] = {
-    if (ids.isEmpty || k <= 0) return Array.empty
-    approxLeaf(qp) match {
-      case None => Array.empty
-      case Some(leaf) =>
-        leaf.entries.toArray
-          .map(e => (ids(e), math.sqrt(Series.edSqEarlyAbandonAt(qz, values, e * space.n,
-                                                                 Double.PositiveInfinity))))
-          .sortBy { case (id, d) => (d, id) }
-          .take(k)
+  def approxSearch(qz: Array[Float], qp: Array[Double], k: Int): Array[(Long, Double)] =
+    if (k <= 0) Array.empty
+    else approxLeaf(qp).fold(Array.empty[(Long, Double)]) { leaf =>
+      val top = new TopK(k)
+      leaf.entries.foreach { e =>
+        top.offer(Series.edSqEarlyAbandonAt(qz, slab.flat, e * space.n, Double.PositiveInfinity), slab.ids(e))
+      }
+      top.drain()
     }
-  }
 
   /** Search with the query already z-normalized and projected — the form used
     * by the distributed layer, which projects once on the driver.
@@ -105,12 +95,13 @@ final class TreeIndex private (
     */
   def searchProjected(qz: Array[Float], qp: Array[Double], k: Int,
                       initialBsfSq: Double = Double.PositiveInfinity): Array[(Long, Double)] = {
-    if (ids.isEmpty || k <= 0) return Array.empty
+    if (size == 0 || k <= 0) return Array.empty
     require(qz.length == space.n, s"query length ${qz.length} != series length ${space.n}")
     val top = new TopK(k)
     def bsfSq: Double = math.min(initialBsfSq, top.boundSq)
     val table = space.lbTable(qp)
     val n = space.n; val l = space.l
+    val values = slab.flat; val ids = slab.ids
     def scanLeaf(leaf: Leaf): Unit = {
       var e = leaf.from
       while (e < leaf.until) {
@@ -172,7 +163,7 @@ final class TreeIndex private (
 
   /** Word and external id of the series in slot `e` — test hooks. */
   def wordOf(e: Int): Array[Int] = Array.tabulate(space.l)(j => symbols(e * space.l + j) & 0xFF)
-  def idOf(e: Int): Long = ids(e)
+  def idOf(e: Int): Long = slab.ids(e)
 }
 
 object TreeIndex {
@@ -195,24 +186,21 @@ object TreeIndex {
 
   /** Build an index over an iterator of (id, raw series) in one pass: read
     * and z-normalize every series, split nodes top-down over one array of
-    * input indices, then gather the series into leaf order. Used from
-    * `mapPartitions`.
+    * input indices, then pack the series into a `Slab` in leaf order. Used
+    * from `mapPartitions`.
     */
   def build(space: QuantizedWordSpace, leafCapacity: Int,
             it: Iterator[(Long, Array[Float])]): TreeIndex = {
     require(leafCapacity >= 1, s"leafCapacity must be >= 1, got $leafCapacity")
     val n = space.n; val l = space.l; val maxBits = space.maxBits
-    val zs = mutable.ArrayBuffer.empty[Array[Float]]
-    val inIds = mutable.ArrayBuilder.make[Long]
     val inWords = mutable.ArrayBuilder.make[Byte] // l unsigned symbols per series
-    it.foreach { case (id, raw) =>
+    val rows = it.map { case (id, raw) =>
       require(raw.length == n, s"series $id has length ${raw.length}, expected $n")
       val z = Series.znormFinite(id, raw)
-      zs += z
-      inIds += id
       space.word(z).foreach(s => inWords += s.toByte)
-    }
-    val total = zs.length
+      (id, z)
+    }.toArray
+    val total = rows.length
     val words = inWords.result()
     // order(from until until) holds a node's input indices in input order:
     // each split partitions its range stably in place, so every leaf ends as
@@ -265,16 +253,9 @@ object TreeIndex {
     }
 
     val root = if (total == 0) None else Some(node(0, total, new Array[Int](l), new Array[Int](l)))
-    val values = new Array[Float](total * n)
     val symbols = new Array[Byte](total * l)
     var slot = 0
-    while (slot < total) {
-      val e = order(slot)
-      System.arraycopy(zs(e), 0, values, slot * n, n)
-      System.arraycopy(words, e * l, symbols, slot * l, l)
-      slot += 1
-    }
-    val inputIds = inIds.result()
-    new TreeIndex(space, leafCapacity, values, symbols, order.map(inputIds(_)), root)
+    while (slot < total) { System.arraycopy(words, order(slot) * l, symbols, slot * l, l); slot += 1 }
+    new TreeIndex(space, leafCapacity, Slab.pack(order.map(rows)), symbols, root)
   }
 }

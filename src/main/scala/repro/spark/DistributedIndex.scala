@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Dataset
-import repro.core.{QuantizedWordSpace, Series, SeriesRecord}
+import repro.core.{QuantizedWordSpace, SeriesRecord}
 import repro.index.TreeIndex
 
 /** The Spark layering of the MESSI/SOFA tree index: one `TreeIndex` per
@@ -23,15 +23,16 @@ final class DistributedIndex private[spark] (
     val name: String,
     val space: QuantizedWordSpace,
     override private[repro] val partitions: Partitions[TreeIndex],
-) extends Built {
+) extends Engine[TreeIndex, (Array[Float], Array[Double])] {
 
   val trees: RDD[TreeIndex] = partitions.rdd
 
-  override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] = {
-    Built.validate(queries, k, space.n)
-    val prepared = queries.map { q => val qz = Series.znorm(q); (qz, space.project(qz)) }.toArray
-    Built.perPartition(partitions, prepared, k) { case (t, (qz, qp)) => t.searchProjected(qz, qp, k) }
-  }
+  override def n: Int = space.n
+
+  override protected def prepare(qz: Array[Float]): (Array[Float], Array[Double]) = (qz, space.project(qz))
+
+  override protected def kernel: (TreeIndex, (Array[Float], Array[Double]), Int) => Array[(Long, Double)] =
+    (t, q, k) => t.searchProjected(q._1, q._2, k)
 
   /** Aggregate Figure-8-style structure stats over all partition trees:
     * (total leaves, max depth, mean leaf fill).

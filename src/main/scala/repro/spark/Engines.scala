@@ -1,6 +1,6 @@
 package repro.spark
 
-import repro.core.Sfa
+import repro.core.{Series, Sfa}
 
 /** A built, queryable similarity-search engine over one dataset.
   *
@@ -35,34 +35,49 @@ object Built {
   def mergeTopK(parts: Seq[Array[(Long, Double)]], k: Int): Array[(Long, Double)] =
     parts.flatten.sortBy { case (id, d) => (d, id) }.take(k).toArray
 
-  /** Reject a bad batch on the driver, before any job runs: `k` must be
-    * positive and every query must have the indexed series length `n` and
-    * only finite values.
+  /** Reject, on the driver at build, a dataset that holds no series. */
+  def requireNonEmpty(nonEmpty: Boolean): Unit =
+    require(nonEmpty, "the dataset holds no series; an index needs at least one")
+}
+
+/** The one query path of every engine over partition objects `P`, with each
+  * query prepared on the driver as a `Q`. `searchBatch` rejects a bad batch
+  * on the driver, before any job runs: `k` must be positive and every query
+  * must have the indexed series length `n` and only finite values. It then
+  * z-normalizes and prepares every query once, answers each in every
+  * partition with `kernel`, in-process or in one Spark job
+  * (`Partitions.map`), and merges each query's global top-k. An empty batch
+  * runs nothing.
+  */
+abstract class Engine[P, Q] extends Built {
+
+  override private[repro] def partitions: Partitions[P]
+
+  /** Length of the indexed series. */
+  def n: Int
+
+  /** Driver-side form of a z-normalized query that `kernel` reads. */
+  protected def prepare(qz: Array[Float]): Q
+
+  /** One partition's top-k of one prepared query. It must capture no engine,
+    * only what a task needs: the job path serializes it.
     */
-  def validate(queries: Seq[Array[Float]], k: Int, n: Int): Unit = {
+  protected def kernel: (P, Q, Int) => Array[(Long, Double)]
+
+  final override def searchBatch(queries: Seq[Array[Float]], k: Int): Array[Array[(Long, Double)]] = {
     require(k > 0, s"k must be positive, got $k")
     queries.iterator.zipWithIndex.foreach { case (q, i) =>
       require(q.length == n, s"query $i has length ${q.length}, the index holds series of length $n")
       require(q.forall(java.lang.Float.isFinite), s"query $i has a NaN or infinite value")
     }
-  }
-
-  /** Reject, on the driver at build, a dataset that holds no series. */
-  def requireNonEmpty(nonEmpty: Boolean): Unit =
-    require(nonEmpty, "the dataset holds no series; an index needs at least one")
-
-  /** Answer every prepared query in every partition, in-process or in one
-    * Spark job (`Partitions.map`), and return each query's merged global
-    * top-k. An empty batch runs nothing. `answer` must not capture the
-    * engine, only what a task needs.
-    */
-  def perPartition[P, Q](parts: Partitions[P], prepared: Array[Q], k: Int)
-                        (answer: (P, Q) => Array[(Long, Double)]): Array[Array[(Long, Double)]] =
-    if (prepared.isEmpty) Array.empty
+    if (queries.isEmpty) Array.empty
     else {
-      val byPart = parts.map(p => prepared.map(answer(p, _)))
-      prepared.indices.map(qi => mergeTopK(byPart.map(_(qi)), k)).toArray
+      val prepared = queries.map(q => prepare(Series.znorm(q))).toVector
+      val answer = kernel
+      val byPart = partitions.map(p => prepared.map(answer(p, _, k)))
+      prepared.indices.map(qi => Built.mergeTopK(byPart.map(_(qi)), k)).toArray
     }
+  }
 }
 
 /** Shared configuration for the MESSI/SOFA tree engines (paper section V

@@ -3,7 +3,8 @@ package repro.core
 /** The generic form of the paper's SIMD lower-bound kernel (Algorithm 3,
   * Figure 6) over per-dimension boxes `[lo, hi]`, and the word- and
   * node-level LBDs of a `QuantizedWordSpace` expressed through it. Tests pin
-  * the space's hot-path kernels to these.
+  * the space's hot-path kernels to these, and check the quantized bounds
+  * against the unquantized PAA and projection bounds below.
   */
 object LbdReference {
 
@@ -69,5 +70,27 @@ object LbdReference {
       edges(s, j, prefix(j) << span, ((prefix(j) + 1) << span) - 1)
     }
     minDistSq(qp, box.map(_._1), box.map(_._2), s.weights, Double.PositiveInfinity)
+  }
+
+  /** Squared PAA lower-bound distance:
+    *   d^2 = sum_i len_i * (pa_i - pb_i)^2  <=  ED^2(a, b).
+    * (For n divisible by l this is the classic (n/l) * sum of squared
+    * differences.)
+    */
+  def paaLbSq(pa: Array[Double], pb: Array[Double], segLen: Array[Int]): Double = {
+    var i = 0; var acc = 0.0
+    while (i < pa.length) { val d = pa(i) - pb(i); acc += segLen(i) * d * d; i += 1 }
+    acc
+  }
+
+  /** Squared lower bound of the plain projection distance (no quantization):
+    * sum_j w_j (qp_j - cp_j)^2. For SFA this is the DFT lower bound (Eq. 1);
+    * for iSAX it is the PAA lower bound.
+    */
+  def projLbSq(s: QuantizedWordSpace, qp: Array[Double], cp: Array[Double]): Double = {
+    var acc = 0.0
+    var j = 0
+    while (j < s.l) { val d = qp(j) - cp(j); acc += s.weights(j) * d * d; j += 1 }
+    acc
   }
 }

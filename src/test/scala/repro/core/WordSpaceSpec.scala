@@ -157,7 +157,7 @@ class WordSpaceSpec extends AnyFunSuite {
 
   test("projLbSq applies per-dimension weights") {
     val s = simpleSpace(8)
-    assert(math.abs(s.projLbSq(Array(2.0), Array(0.5)) - 2.25) < 1e-12)
+    assert(math.abs(LbdReference.projLbSq(s, Array(2.0), Array(0.5)) - 2.25) < 1e-12)
   }
 
   test("word chain: nodeLb <= wordLb <= weighted projection distance") {
@@ -170,7 +170,7 @@ class WordSpaceSpec extends AnyFunSuite {
       val cp = s.project(c)
       val w = s.quantize(cp)
       val wordLb = s.wordLbSq(qp, w, Double.PositiveInfinity)
-      val projD = s.projLbSq(qp, cp)
+      val projD = LbdReference.projLbSq(s, qp, cp)
       assert(wordLb <= projD + 1e-9)
       // 1-bit node containing the word
       val prefix = w.map(_ >>> (s.maxBits - 1))

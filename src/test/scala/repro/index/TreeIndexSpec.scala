@@ -13,6 +13,12 @@ class TreeIndexSpec extends AnyFunSuite {
     Sfa.fit(train, n, l = 8, alpha = 256).space
   }
 
+  /** `t`'s k-NN of a raw query, z-normalized and projected here. */
+  private def search(t: TreeIndex, query: Array[Float], k: Int): Array[(Long, Double)] = {
+    val qz = Series.znorm(query)
+    t.searchProjected(qz, t.space.project(qz), k)
+  }
+
   private def buildIsax(seed: Long, count: Int, n: Int, leafCap: Int = 16) = {
     val data = TestData.dataset(seed, count, n)
     (data, TreeIndex.build(isaxSpace(n), leafCap, data.iterator))
@@ -69,7 +75,7 @@ class TreeIndexSpec extends AnyFunSuite {
       val r = TestData.rng(seed + 5000)
       for (_ <- 1 to 10) {
         val q = TestData.mixedSeries(r, 64)
-        TestData.assertSameKnn(t.search(q, 1), TestData.bruteKnn(data.toIndexedSeq, q, 1))
+        TestData.assertSameKnn(search(t, q, 1), TestData.bruteKnn(data.toIndexedSeq, q, 1))
       }
     }
   }
@@ -83,7 +89,7 @@ class TreeIndexSpec extends AnyFunSuite {
       val r = TestData.rng(seed + 6000)
       for (_ <- 1 to 10) {
         val q = TestData.mixedSeries(r, n)
-        TestData.assertSameKnn(t.search(q, 1), TestData.bruteKnn(data.toIndexedSeq, q, 1))
+        TestData.assertSameKnn(search(t, q, 1), TestData.bruteKnn(data.toIndexedSeq, q, 1))
       }
     }
   }
@@ -93,7 +99,7 @@ class TreeIndexSpec extends AnyFunSuite {
     val r = TestData.rng(131)
     for (k <- Seq(1, 3, 5, 10, 50); _ <- 1 to 5) {
       val q = TestData.mixedSeries(r, 64)
-      val got = t.search(q, k)
+      val got = search(t, q, k)
       val want = TestData.bruteKnn(data.toIndexedSeq, q, k)
       assert(got.length == k)
       TestData.assertSameKnn(got, want)
@@ -103,7 +109,7 @@ class TreeIndexSpec extends AnyFunSuite {
   test("k larger than the dataset returns everything, sorted") {
     val (data, t) = buildIsax(132, 20, 64)
     val q = TestData.mixedSeries(TestData.rng(133), 64)
-    val got = t.search(q, 100)
+    val got = search(t, q, 100)
     assert(got.length == data.length)
     got.sliding(2).foreach(w => assert(w(0)._2 <= w(1)._2 + 1e-12))
   }
@@ -111,27 +117,27 @@ class TreeIndexSpec extends AnyFunSuite {
   test("searching for an indexed series returns it at distance ~0") {
     val (data, t) = buildIsax(134, 300, 64)
     for (i <- Seq(0, 7, 150, 299)) {
-      val res = t.search(data(i)._2, 1)
+      val res = search(t, data(i)._2, 1)
       assert(res.head._2 < 1e-3)
     }
   }
 
   test("empty index returns empty results") {
     val t = TreeIndex.build(isaxSpace(64), 8, Iterator.empty)
-    assert(t.search(TestData.mixedSeries(TestData.rng(135), 64), 1).isEmpty)
+    assert(search(t, TestData.mixedSeries(TestData.rng(135), 64), 1).isEmpty)
     assert(t.structureStats == ((0, 0, 0.0)))
     assert(t.allLeaves.isEmpty)
   }
 
   test("k = 0 returns empty") {
     val (_, t) = buildIsax(136, 50, 64)
-    assert(t.search(TestData.mixedSeries(TestData.rng(137), 64), 0).isEmpty)
+    assert(search(t, TestData.mixedSeries(TestData.rng(137), 64), 0).isEmpty)
   }
 
   test("single-series index") {
     val data = TestData.dataset(138, 1, 64)
     val t = TreeIndex.build(isaxSpace(64), 8, data.iterator)
-    val res = t.search(TestData.mixedSeries(TestData.rng(139), 64), 3)
+    val res = search(t, TestData.mixedSeries(TestData.rng(139), 64), 3)
     assert(res.length == 1 && res.head._1 == data.head._1)
   }
 
@@ -151,7 +157,7 @@ class TreeIndexSpec extends AnyFunSuite {
       assert(leaves.head.bits.forall(_ == maxBits)) // an overflow leaf
     }
     assert(t.structureStats._2 == t.space.l * maxBits + 1)
-    val res = t.search(base, 10)
+    val res = search(t, base, 10)
     assert(res.map(_._1).toSeq == copies.map(_._1).toSeq)
     res.foreach { case (_, d) => assert(d < 1e-5) }
   }
@@ -177,8 +183,8 @@ class TreeIndexSpec extends AnyFunSuite {
   test("results are deterministic across repeated searches") {
     val (_, t) = buildIsax(141, 300, 64)
     val q = TestData.mixedSeries(TestData.rng(142), 64)
-    val a = t.search(q, 5)
-    val b = t.search(q, 5)
+    val a = search(t, q, 5)
+    val b = search(t, q, 5)
     assert(a.map(_._1).sameElements(b.map(_._1)))
   }
 
@@ -187,7 +193,7 @@ class TreeIndexSpec extends AnyFunSuite {
     val r = TestData.rng(144)
     for (_ <- 1 to 10) {
       val q = TestData.mixedSeries(r, 64)
-      TestData.assertSameKnn(t.search(q, 3), TestData.bruteKnn(data.toIndexedSeq, q, 3))
+      TestData.assertSameKnn(search(t, q, 3), TestData.bruteKnn(data.toIndexedSeq, q, 3))
     }
   }
 
@@ -198,7 +204,7 @@ class TreeIndexSpec extends AnyFunSuite {
     val r = TestData.rng(146)
     for (_ <- 1 to 10) {
       val q = TestData.mixedSeries(r, n)
-      TestData.assertSameKnn(t.search(q, 1), TestData.bruteKnn(data.toIndexedSeq, q, 1))
+      TestData.assertSameKnn(search(t, q, 1), TestData.bruteKnn(data.toIndexedSeq, q, 1))
     }
   }
 
@@ -217,7 +223,41 @@ class TreeIndexSpec extends AnyFunSuite {
     val t = TreeIndex.build(space, 16, data.iterator)
     for (_ <- 1 to 10) {
       val q = TestData.mixedSeries(r, n)
-      TestData.assertSameKnn(t.search(q, 2), TestData.bruteKnn(data.toIndexedSeq, q, 2))
+      TestData.assertSameKnn(search(t, q, 2), TestData.bruteKnn(data.toIndexedSeq, q, 2))
+    }
+  }
+
+  test("slot e of the store holds the z-normalized series with id idOf(e), in leaf order") {
+    val data = TestData.dataset(156, 400, 100) ++ Array((400L, Array.fill(100)(3f)))
+    val byId = data.toMap
+    for (t <- Seq(TreeIndex.build(isaxSpace(100), 8, data.iterator),
+                  TreeIndex.build(Isax.space(100, 16, 256), 1000, data.reverseIterator))) {
+      assert(t.slab.rows == data.length && t.slab.dim == 100)
+      assert(t.allLeaves.flatMap(_.entries) == (0 until t.size))
+      for (e <- 0 until t.size) {
+        val want = Series.znorm(byId(t.idOf(e)))
+        assert(java.util.Arrays.equals(t.slab.flat.slice(e * 100, (e + 1) * 100), want), s"slot $e")
+        // the slot's word, which its leaf's prefix matches, is that series' word
+        assert(t.wordOf(e).sameElements(t.space.word(want)), s"slot $e")
+      }
+    }
+  }
+
+  test("approxSearch on a one-leaf tree returns brute force's k-NN list, ties included") {
+    val n = 64
+    val base = TestData.dataset(157, 40, n)
+    // four exact copies of series 5 and three constant series (all zero after z-normalization)
+    val data = (base ++ Array.tabulate(4)(i => ((100 + i).toLong, base(5)._2.clone())) ++
+                Array.tabulate(3)(i => ((200 + i).toLong, Array.fill(n)(i.toFloat)))).reverse
+    val t = TreeIndex.build(isaxSpace(n), data.length, data.iterator)
+    assert(t.allLeaves.size == 1)
+    val r = TestData.rng(158)
+    for (q <- Seq(base(5)._2, Array.fill(n)(7f), TestData.mixedSeries(r, n), TestData.mixedSeries(r, n));
+         k <- Seq(1, 3, data.length + 2)) {
+      val qz = Series.znorm(q)
+      val got = t.approxSearch(qz, t.space.project(qz), k)
+      val want = TestData.bruteKnn(data.toIndexedSeq, q, k)
+      assert(got.sameElements(want), s"k=$k: ${got.mkString(",")} want ${want.mkString(",")}")
     }
   }
 }
